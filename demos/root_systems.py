@@ -11,8 +11,8 @@ from bernasym import (
     ParabolicType,
     RootSystemSpec,
     build_root_system,
+    height,
     levi_subsystem,
-    pairing_with_rho,
     root_system,
     root_system_to_json,
 )
@@ -25,7 +25,7 @@ for beta in g2.positive_coroots:
 
 # <rho, theta> equals the height; it is additive in theta.
 theta = (1, 3)
-print(f"\n<rho, {theta}> = {pairing_with_rho(g2, theta)}")
+print(f"\n<rho, {theta}> = {height(theta)}")
 
 # The same machinery accepts an explicit Cartan matrix (here B2).
 spec = RootSystemSpec(cartan=((2, -1), (-2, 2)), label="my-b2")

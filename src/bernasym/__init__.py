@@ -34,7 +34,6 @@ from .cartan import (
     height,
     leq,
     levi_subsystem,
-    pairing_with_rho,
     parse_spec_text,
     project_to_quotient,
     root_system,
@@ -98,7 +97,6 @@ __all__ = [
     "leq",
     "levi_subsystem",
     "pair_form_description",
-    "pairing_with_rho",
     "parse_divisor",
     "parse_spec_text",
     "partition_from_json",

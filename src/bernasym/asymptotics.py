@@ -32,7 +32,6 @@ from .cartan import (
     coweights_up_to_height,
     height,
     is_positive,
-    pairing_with_rho,
     root_system_from_json,
     root_system_to_json,
 )
@@ -138,27 +137,23 @@ def gk_product_series(rs: RootSystem, height_bound: int) -> MonoidSeries:
 
 def trace_from_series(series: MonoidSeries, rs: RootSystem, theta: Sequence[int]) -> LaurentPoly:
     """Convert the e-basis coefficient at theta to the 1-basis: multiply by q^<rho,theta>."""
-    theta = rs.check_coweight(theta)
-    if not is_positive(theta):
-        raise ValueError(f"theta {theta} is not positive")
+    theta = rs.check_positive_coweight(theta)
     if height(theta) > series.height_bound:
         raise ValueError(
             f"theta has height {height(theta)} above the series bound {series.height_bound};"
             " rebuild the series with a larger bound"
         )
-    return LaurentPoly.q_power(pairing_with_rho(rs, theta)) * series.coefficient(theta)
+    return LaurentPoly.q_power(height(theta)) * series.coefficient(theta)
 
 
 def trace_kostant_sum(rs: RootSystem, theta: Sequence[int]) -> LaurentPoly:
     """q^<rho,theta> * sum over Kostant partitions of (1-q)^|R_K| * q^-|K|."""
-    theta = rs.check_coweight(theta)
-    if not is_positive(theta):
-        raise ValueError(f"theta {theta} is not positive")
+    theta = rs.check_positive_coweight(theta)
     one_minus_q = LaurentPoly({0: 1, 1: -1})
     total = LaurentPoly.zero()
     for part in enumerate_partitions(rs, theta):
         total = total + one_minus_q ** len(part.support) * LaurentPoly.q_power(-part.size)
-    return LaurentPoly.q_power(pairing_with_rho(rs, theta)) * total
+    return LaurentPoly.q_power(height(theta)) * total
 
 
 def trace_grothendieck_oracle(rs: RootSystem, theta: Sequence[int]) -> LaurentPoly:
@@ -168,9 +163,7 @@ def trace_grothendieck_oracle(rs: RootSystem, theta: Sequence[int]) -> LaurentPo
     contributes the class with shift 2|K1| + |K2| and twist |K1|, whose trace
     is (-1)^|K2| q^-|K1|; the result is again multiplied by q^<rho,theta>.
     """
-    theta = rs.check_coweight(theta)
-    if not is_positive(theta):
-        raise ValueError(f"theta {theta} is not positive")
+    theta = rs.check_positive_coweight(theta)
     terms: dict[tuple[int, int], int] = {}
     for theta2 in coordinate_box(theta):
         simples = enumerate_simple_partitions(rs, theta2)
@@ -182,7 +175,7 @@ def trace_grothendieck_oracle(rs: RootSystem, theta: Sequence[int]) -> LaurentPo
                 key = (2 * k1.size + k2.size, k1.size)
                 terms[key] = terms.get(key, 0) + 1
     cls = GrothendieckClass(terms)
-    return LaurentPoly.q_power(pairing_with_rho(rs, theta)) * cls.trace()
+    return LaurentPoly.q_power(height(theta)) * cls.trace()
 
 
 # ---------------------------------------------------------------------------

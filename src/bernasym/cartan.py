@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -264,6 +265,13 @@ class RootSystem:
             raise ValueError(f"coweight has length {len(theta)}, expected rank {self.rank}")
         return tuple(int(x) for x in theta)
 
+    def check_positive_coweight(self, theta: Sequence[int]) -> Coweight:
+        """theta as an int tuple of length rank with every coordinate >= 0, else a ValueError."""
+        theta = self.check_coweight(theta)
+        if not is_positive(theta):
+            raise ValueError(f"theta {theta} is not positive (all coordinates must be >= 0)")
+        return theta
+
 
 def positive_roots_of(matrix: CartanMatrix) -> list[tuple[int, ...]]:
     """All positive roots of a validated finite-type Cartan matrix.
@@ -291,17 +299,22 @@ def positive_roots_of(matrix: CartanMatrix) -> list[tuple[int, ...]]:
     return sorted(roots, key=lambda b: (height(b), b))
 
 
+def _from_cartan(name: str, matrix: CartanMatrix, labels: tuple[int, ...]) -> RootSystem:
+    """The RootSystem of a validated matrix: its coroots are the positive roots of the transpose."""
+    n = len(matrix)
+    transpose = tuple(tuple(matrix[j][i] for j in range(n)) for i in range(n))
+    return RootSystem(
+        name=name,
+        cartan=matrix,
+        labels=labels,
+        positive_coroots=tuple(positive_roots_of(transpose)),
+    )
+
+
 def build_root_system(spec: RootSystemSpec) -> RootSystem:
     """Construct the RootSystem for a spec, generating its positive coroots."""
     matrix = spec.cartan if spec.cartan is not None else series_cartan(spec.series, spec.rank)
-    transpose = tuple(tuple(matrix[j][i] for j in range(len(matrix))) for i in range(len(matrix)))
-    coroots = tuple(positive_roots_of(transpose))
-    return RootSystem(
-        name=spec.name,
-        cartan=matrix,
-        labels=tuple(range(len(matrix))),
-        positive_coroots=coroots,
-    )
+    return _from_cartan(spec.name, matrix, tuple(range(len(matrix))))
 
 
 def root_system(series: str, rank: int) -> RootSystem:
@@ -312,16 +325,6 @@ def root_system(series: str, rank: int) -> RootSystem:
 # ---------------------------------------------------------------------------
 # Pairings and the partial order
 # ---------------------------------------------------------------------------
-
-
-def pairing_with_rho(rs: RootSystem, theta: Sequence[int]) -> int:
-    """<rho, theta> = sum of the simple-coroot coordinates of theta.
-
-    Valid because <rho, alpha_i-check> = 1 for every simple coroot; the
-    half-sum identity is cross-checked by :func:`rho_in_root_coords`.
-    """
-    theta = rs.check_coweight(theta)
-    return height(theta)
 
 
 def rho_in_root_coords(rs: RootSystem) -> tuple[Fraction, ...]:
@@ -378,14 +381,22 @@ def project_to_quotient(rs: RootSystem, p: ParabolicType, theta: Sequence[int]) 
     return tuple(theta[i] for i in p.complement(rs))
 
 
-def leq(rs: RootSystem, p: ParabolicType, a: Sequence[int], b: Sequence[int]) -> bool:
-    """Partial order on the quotient: b - a has all coordinates >= 0."""
+def check_quotient_coweight(rs: RootSystem, p: ParabolicType, theta: Sequence[int]) -> QuotientCoweight:
+    """theta as an int tuple whose length is the rank minus the number of Levi vertices, else a ValueError."""
     p.validate(rs)
     expected = rs.rank - len(p.levi_vertices)
-    if len(a) != expected or len(b) != expected:
+    if len(theta) != expected:
         raise ValueError(
-            f"quotient coweights must have length {expected} (rank {rs.rank} minus {len(p.levi_vertices)} Levi vertices)"
+            f"quotient coweight has length {len(theta)}, expected {expected}"
+            f" (rank {rs.rank} minus {len(p.levi_vertices)} Levi vertices)"
         )
+    return tuple(int(x) for x in theta)
+
+
+def leq(rs: RootSystem, p: ParabolicType, a: Sequence[int], b: Sequence[int]) -> bool:
+    """Partial order on the quotient: b - a has all coordinates >= 0."""
+    a = check_quotient_coweight(rs, p, a)
+    b = check_quotient_coweight(rs, p, b)
     return all(y - x >= 0 for x, y in zip(a, b))
 
 
@@ -396,15 +407,8 @@ def levi_subsystem(rs: RootSystem, p: ParabolicType) -> RootSystem:
     if not verts:
         raise ValueError("the Levi of the Borel is a torus; no root system to build")
     sub = tuple(tuple(rs.cartan[i][j] for j in verts) for i in verts)
-    transpose = tuple(tuple(sub[j][i] for j in range(len(sub))) for i in range(len(sub)))
-    coroots = tuple(positive_roots_of(transpose))
     labels = tuple(rs.labels[i] for i in verts)
-    return RootSystem(
-        name=f"{rs.name}-levi({','.join(str(v) for v in verts)})",
-        cartan=sub,
-        labels=labels,
-        positive_coroots=coroots,
-    )
+    return _from_cartan(f"{rs.name}-levi({','.join(str(v) for v in verts)})", sub, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +458,35 @@ def root_system_to_json(rs: RootSystem) -> dict:
 
 
 def root_system_from_json(obj: dict) -> RootSystem:
-    return RootSystem(
-        name=str(obj["name"]),
-        cartan=tuple(tuple(int(x) for x in row) for row in obj["cartan"]),
-        labels=tuple(int(x) for x in obj["labels"]),
-        positive_coroots=tuple(tuple(int(x) for x in b) for b in obj["positive_coroots"]),
-    )
+    """Rebuild a RootSystem; reject a matrix that is not finite type or coroots it does not generate."""
+    matrix = tuple(tuple(int(x) for x in row) for row in obj["cartan"])
+    validate_cartan_matrix(matrix)
+    rs = _from_cartan(str(obj["name"]), matrix, tuple(int(x) for x in obj["labels"]))
+    if tuple(tuple(int(x) for x in b) for b in obj["positive_coroots"]) != rs.positive_coroots:
+        raise ValueError(f"positive_coroots of {rs.name!r} differ from those its Cartan matrix generates")
+    return rs
+
+
+def parse_key_values(text: str) -> dict[str, str]:
+    """Parse `key=value` tokens, several per line, spaces allowed around `=`; `#` starts a comment line.
+
+    A value cannot contain whitespace or `=`; later keys override earlier ones.
+    """
+    fields: dict[str, str] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        for token in re.sub(r"\s*=\s*", "=", line).split():
+            key, sep, value = token.partition("=")
+            if not sep or not key or "=" in value:
+                raise ValueError(f"expected key=value tokens, got {token!r}")
+            fields[key] = value
+    return fields
 
 
 def parse_spec_text(text: str) -> RootSystemSpec:
-    """Parse a plain-text spec: `type=A rank=3` lines, or a JSON matrix.
+    """Parse a plain-text spec: `type=A rank=3` (see :func:`parse_key_values`), or a JSON matrix.
 
     The JSON form is row-major: either a list of rows or a flat list whose
     length is a perfect square.
@@ -481,16 +504,7 @@ def parse_spec_text(text: str) -> RootSystemSpec:
             rows = [tuple(flat[i * n : (i + 1) * n]) for i in range(n)]
         return RootSystemSpec(cartan=tuple(rows))
 
-    fields: dict[str, str] = {}
-    for line in stripped.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        for token in line.split():
-            if "=" not in token:
-                raise ValueError(f"expected key=value tokens, got {token!r}")
-            key, _, value = token.partition("=")
-            fields[key.strip()] = value.strip()
+    fields = parse_key_values(stripped)
     if "type" not in fields or "rank" not in fields:
         raise ValueError("spec text must provide type= and rank= (or a JSON Cartan matrix)")
     return RootSystemSpec(

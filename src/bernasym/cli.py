@@ -28,6 +28,7 @@ from .cartan import (
     RootSystem,
     RootSystemSpec,
     build_root_system,
+    parse_key_values,
     parse_spec_text,
 )
 from .kostant import count_cache_load, count_cache_save
@@ -107,19 +108,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def _read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return parse_key_values(fh.read())
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"config line {line!r} is not key=value")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    return fields
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -158,7 +149,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             if series is None or rank is None:
                 raise UsageError("a root system is required: --type and --rank, or --cartan FILE")
             spec = RootSystemSpec(series=str(series), rank=int(rank), label=file_fields.get("label"))
-    except (ValueError, json.JSONDecodeError) as exc:
+        height = int(height) if height is not None else None
+        genus = int(genus) if genus is not None else None
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
     if method not in ("kostant", "series", "oracle", "all"):
@@ -167,20 +160,23 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"unknown format {fmt!r}")
     if args.command != "strata" and args.kind is not None:
         raise UsageError(f"{args.command} takes no positional kind argument")
+    levi = _parse_int_list(levi_text) if levi_text is not None else None
+    if args.command != "strata" and levi:
+        raise UsageError("only strata commands accept --levi")
 
     return RunConfig(
         command=args.command,
         kind=args.kind,
         spec=spec,
-        height=int(height) if height is not None else None,
+        height=height,
         theta=_parse_int_list(theta_text) if theta_text is not None else None,
-        levi=_parse_int_list(levi_text) if levi_text is not None else None,
+        levi=levi,
         divisor=str(divisor_text) if divisor_text is not None else None,
         method=str(method),
         fmt=fmt,
         out=str(out) if out is not None else None,
         verify=True if verify is None else bool(verify),
-        genus=int(genus) if genus is not None else None,
+        genus=genus,
     )
 
 
@@ -206,8 +202,6 @@ def _require_theta(cfg: RunConfig, rank: int) -> tuple[int, ...]:
 
 
 def _cmd_table(cfg: RunConfig) -> str:
-    if cfg.levi:
-        raise UsageError("only strata commands accept --levi")
     if cfg.height is None or cfg.height < 0:
         raise UsageError("table needs --height N with N >= 0")
     rs = _build_system(cfg)
@@ -223,8 +217,6 @@ def _cmd_table(cfg: RunConfig) -> str:
 
 
 def _cmd_trace(cfg: RunConfig) -> str:
-    if cfg.levi:
-        raise UsageError("only strata commands accept --levi")
     rs = _build_system(cfg)
     theta = _require_theta(cfg, rs.rank)
     values: dict[str, object] = {}
@@ -256,8 +248,6 @@ def _cmd_trace(cfg: RunConfig) -> str:
 
 
 def _cmd_divisor(cfg: RunConfig) -> str:
-    if cfg.levi:
-        raise UsageError("only strata commands accept --levi")
     rs = _build_system(cfg)
     if cfg.divisor is None:
         raise UsageError("divisor needs --divisor \"label:coords;...\"")
@@ -301,12 +291,7 @@ def _cmd_strata(cfg: RunConfig) -> str:
         raise UsageError("strata parabolic supports --format json|text")
 
     if cfg.kind == "local":
-        quotient_rank = rs.rank - len(p.levi_vertices)
         theta = cfg.theta if cfg.theta is not None else ()
-        if len(theta) != quotient_rank:
-            raise UsageError(f"--theta needs {quotient_rank} coordinates for this parabolic")
-        if any(x < 0 for x in theta):
-            raise UsageError(f"--theta must be positive, got {theta}")
         try:
             strata = enumerate_local_strata(rs, p, theta)
         except ValueError as exc:

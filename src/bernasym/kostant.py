@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cartan import Coweight, RootSystem, coordinate_box, is_positive
+from .cartan import Coweight, RootSystem, _from_cartan, coordinate_box
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,6 @@ class KostantPartition:
     @property
     def is_simple(self) -> bool:
         return all(n == 1 for _, n in self.parts)
-
-
-def _require_positive(rs: RootSystem, theta: Sequence[int]) -> Coweight:
-    theta = rs.check_coweight(theta)
-    if not is_positive(theta):
-        raise ValueError(f"theta {theta} is not positive (all coordinates must be >= 0)")
-    return theta
 
 
 def _enumerate(rs: RootSystem, theta: Coweight, max_multiplicity: int | None) -> list[KostantPartition]:
@@ -78,13 +71,13 @@ def _enumerate(rs: RootSystem, theta: Coweight, max_multiplicity: int | None) ->
 
 def enumerate_partitions(rs: RootSystem, theta: Sequence[int]) -> list[KostantPartition]:
     """The complete duplicate-free list of Kostant partitions of theta."""
-    theta = _require_positive(rs, theta)
+    theta = rs.check_positive_coweight(theta)
     return _enumerate(rs, theta, None)
 
 
 def enumerate_simple_partitions(rs: RootSystem, theta: Sequence[int]) -> list[KostantPartition]:
     """Partitions with every multiplicity equal to 1: subsets of the positive coroots summing to theta."""
-    theta = _require_positive(rs, theta)
+    theta = rs.check_positive_coweight(theta)
     return _enumerate(rs, theta, 1)
 
 
@@ -101,7 +94,7 @@ def count_partitions(rs: RootSystem, theta: Sequence[int]) -> int:
     (one pass per positive coroot), not by enumeration; results are cached
     per (root system, theta).
     """
-    theta = _require_positive(rs, theta)
+    theta = rs.check_positive_coweight(theta)
     key = (rs, theta)
     cached = _COUNT_CACHE.get(key)
     if cached is not None:
@@ -148,22 +141,13 @@ def count_cache_save(path: str) -> None:
 
 def count_cache_load(path: str) -> int:
     """Load previously saved counts; returns the number of records loaded."""
-    from .cartan import positive_roots_of
-
     with open(path, encoding="utf-8") as fh:
         records = json.load(fh)
     loaded = 0
     with _COUNT_CACHE_LOCK:
         for cartan, labels, name, theta, count in records:
             matrix = tuple(tuple(int(x) for x in row) for row in cartan)
-            n = len(matrix)
-            transpose = tuple(tuple(matrix[j][i] for j in range(n)) for i in range(n))
-            rs = RootSystem(
-                name=str(name),
-                cartan=matrix,
-                labels=tuple(int(x) for x in labels),
-                positive_coroots=tuple(positive_roots_of(transpose)),
-            )
+            rs = _from_cartan(str(name), matrix, tuple(int(x) for x in labels))
             _COUNT_CACHE[(rs, tuple(int(x) for x in theta))] = int(count)
             loaded += 1
     return loaded

@@ -177,8 +177,7 @@ class LaurentPoly:
 class GrothendieckClass:
     """Formal sum of shift/twist tokens [n](m) with integer multiplicities.
 
-    The Frobenius-trace specialization sends [n](m) to (-1)^n * q^(-m);
-    tensoring classes adds the (shift, twist) pairs.
+    The Frobenius-trace specialization sends [n](m) to (-1)^n * q^(-m).
     """
 
     __slots__ = ("_terms",)
@@ -191,14 +190,6 @@ class GrothendieckClass:
                     shift, twist = key
                     self._terms[(int(shift), int(twist))] = int(mult)
 
-    @staticmethod
-    def unit() -> "GrothendieckClass":
-        return GrothendieckClass({(0, 0): 1})
-
-    @staticmethod
-    def single(shift: int, twist: int, multiplicity: int = 1) -> "GrothendieckClass":
-        return GrothendieckClass({(shift, twist): multiplicity})
-
     def __add__(self, other: "GrothendieckClass") -> "GrothendieckClass":
         if not isinstance(other, GrothendieckClass):
             return NotImplemented
@@ -209,18 +200,6 @@ class GrothendieckClass:
                 out[key] = s
             elif key in out:
                 del out[key]
-        return GrothendieckClass(out)
-
-    def tensor(self, other: "GrothendieckClass") -> "GrothendieckClass":
-        out: dict[tuple[int, int], int] = {}
-        for (n1, m1), c1 in self._terms.items():
-            for (n2, m2), c2 in other._terms.items():
-                key = (n1 + n2, m1 + m2)
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
         return GrothendieckClass(out)
 
     def trace(self) -> LaurentPoly:

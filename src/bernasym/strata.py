@@ -13,16 +13,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cartan import (
-    Coweight,
     ParabolicType,
+    QuotientCoweight,
     RootSystem,
+    check_quotient_coweight,
     coordinate_box,
     coweights_up_to_height,
     height,
     is_positive,
 )
-
-QuotientCoweight = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -73,17 +72,6 @@ class DefectStratumIndex:
         return self.parts[1]
 
 
-def _check_quotient(rs: RootSystem, p: ParabolicType, theta: Sequence[int]) -> QuotientCoweight:
-    p.validate(rs)
-    expected = rs.rank - len(p.levi_vertices)
-    theta = tuple(int(x) for x in theta)
-    if len(theta) != expected:
-        raise ValueError(f"quotient coweight has length {len(theta)}, expected {expected}")
-    if not is_positive(theta):
-        raise ValueError(f"quotient coweight {theta} is not positive")
-    return theta
-
-
 def enumerate_local_strata(
     rs: RootSystem, p: ParabolicType, theta: Sequence[int]
 ) -> list[DefectStratumIndex]:
@@ -92,7 +80,9 @@ def enumerate_local_strata(
     Deterministic order: lexicographic in (first part, middle part).  The
     count is the per-coordinate stars-and-bars product prod C(n_i + 2, 2).
     """
-    theta = _check_quotient(rs, p, theta)
+    theta = check_quotient_coweight(rs, p, theta)
+    if not is_positive(theta):
+        raise ValueError(f"quotient coweight {theta} is not positive")
     out: list[DefectStratumIndex] = []
     for part1 in coordinate_box(theta):
         rest = tuple(t - a for t, a in zip(theta, part1))
@@ -110,9 +100,7 @@ def enumerate_local_strata(
 
 def codim_defect(rs: RootSystem, theta: Sequence[int]) -> int:
     """Codimension of the stratum of defect theta: twice the height."""
-    theta = rs.check_coweight(theta)
-    if not is_positive(theta):
-        raise ValueError(f"theta {theta} is not positive")
+    theta = rs.check_positive_coweight(theta)
     return 2 * height(theta)
 
 
@@ -129,12 +117,6 @@ class DefectPoset:
     elements: tuple[QuotientCoweight, ...]
     covers: tuple[tuple[QuotientCoweight, QuotientCoweight], ...]
     bound: int
-
-    @staticmethod
-    def leq(a: Sequence[int], b: Sequence[int]) -> bool:
-        if len(a) != len(b):
-            raise ValueError("cannot compare coweights of different lengths")
-        return all(y - x >= 0 for x, y in zip(a, b))
 
     def to_dot(self) -> str:
         """DOT digraph; nodes carry coordinates and codimension, edges are covers."""

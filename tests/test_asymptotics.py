@@ -22,11 +22,35 @@ from bernasym.asymptotics import (
     trace_kostant_sum,
 )
 from bernasym.cartan import coweights_up_to_height, height, root_system
-from bernasym.kostant import enumerate_partitions
+from bernasym.kostant import (
+    count_partitions,
+    enumerate_partitions,
+    enumerate_simple_partitions,
+)
 from bernasym.qlaurent import LaurentPoly
+from bernasym.strata import codim_defect
 
 ONE = LaurentPoly.one()
 ONE_MINUS_Q = LaurentPoly({0: 1, 1: -1})
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        enumerate_partitions,
+        enumerate_simple_partitions,
+        count_partitions,
+        trace_kostant_sum,
+        lambda rs, theta: trace_from_series(gk_product_series(rs, 2), rs, theta),
+        trace_grothendieck_oracle,
+        codim_defect,
+    ],
+    ids=["enumerate", "enumerate_simple", "count", "kostant_sum", "series", "oracle", "codim"],
+)
+@pytest.mark.parametrize("theta", [(-1, 1), (1,), (1, 0, 0)], ids=["negative", "short", "long"])
+def test_positive_coweight_required(check, theta):
+    with pytest.raises(ValueError):
+        check(root_system("A", 2), theta)
 
 
 class TestKostantSum:

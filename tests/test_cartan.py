@@ -24,7 +24,6 @@ from bernasym.cartan import (
     leq,
     levi_subsystem,
     pair_weight_with_coroot,
-    pairing_with_rho,
     parse_spec_text,
     project_to_quotient,
     rho_in_root_coords,
@@ -155,15 +154,20 @@ class TestValidation:
             RootSystemSpec(series="A", rank=2, cartan=((2,),))
 
 
+def rho_pairing(rs: RootSystem, theta) -> Fraction:
+    """<rho, theta> with rho computed as the half-sum of the positive roots."""
+    return pair_weight_with_coroot(rs, rho_in_root_coords(rs), theta)
+
+
 class TestRhoPairing:
     def test_a2_sum(self):
-        assert pairing_with_rho(root_system("A", 2), (1, 1)) == 2
+        assert rho_pairing(root_system("A", 2), (1, 1)) == 2 == height((1, 1))
 
     def test_zero(self):
-        assert pairing_with_rho(root_system("B", 2), (0, 0)) == 0
+        assert rho_pairing(root_system("B", 2), (0, 0)) == 0 == height((0, 0))
 
     def test_a1_multiple(self):
-        assert pairing_with_rho(root_system("A", 1), (3,)) == 3
+        assert rho_pairing(root_system("A", 1), (3,)) == 3 == height((3,))
 
     def test_additivity(self):
         rs = root_system("B", 3)
@@ -172,7 +176,8 @@ class TestRhoPairing:
             a = tuple(rng.randint(-4, 4) for _ in range(3))
             b = tuple(rng.randint(-4, 4) for _ in range(3))
             s = tuple(x + y for x, y in zip(a, b))
-            assert pairing_with_rho(rs, s) == pairing_with_rho(rs, a) + pairing_with_rho(rs, b)
+            assert rho_pairing(rs, s) == rho_pairing(rs, a) + rho_pairing(rs, b)
+            assert rho_pairing(rs, s) == height(s)
 
     @pytest.mark.parametrize("series,rank", SERIES_UNDER_TEST)
     def test_half_sum_cross_check(self, series, rank):
@@ -186,10 +191,6 @@ class TestRhoPairing:
         # and the pairing therefore equals the height on the coroot lattice
         for beta in rs.positive_coroots:
             assert pair_weight_with_coroot(rs, rho, beta) == height(beta)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            pairing_with_rho(root_system("A", 2), (1,))
 
 
 class TestQuotient:
@@ -293,11 +294,26 @@ class TestWireFormats:
             rs = root_system(series, rank)
             assert root_system_from_json(root_system_to_json(rs)) == rs
 
+    def test_root_system_json_rejects_affine_matrix(self):
+        obj = root_system_to_json(root_system("A", 2))
+        obj["cartan"] = [[2, 5], [5, 2]]
+        with pytest.raises(ValueError, match="positive"):
+            root_system_from_json(obj)
+
+    def test_root_system_json_rejects_inconsistent_coroots(self):
+        # with only the simple coroots, theta (1, 1) would get 1 - 2q + q^2 instead of 1 - q
+        obj = root_system_to_json(root_system("A", 2))
+        obj["positive_coroots"] = [[1, 0], [0, 1]]
+        with pytest.raises(ValueError, match="positive_coroots"):
+            root_system_from_json(obj)
+
     def test_parse_key_value_text(self):
         spec = parse_spec_text("type=A rank=3")
         assert (spec.series, spec.rank) == ("A", 3)
         spec = parse_spec_text("# comment\ntype=G\nrank=2\nlabel=my-g2\n")
         assert (spec.series, spec.rank, spec.label) == ("G", 2, "my-g2")
+        spec = parse_spec_text("type = B\n  rank =2 label= b\n")
+        assert (spec.series, spec.rank, spec.label) == ("B", 2, "b")
 
     def test_parse_json_matrix(self):
         spec = parse_spec_text("[[2, -1], [-1, 2]]")
@@ -312,3 +328,7 @@ class TestWireFormats:
             parse_spec_text("[2, -1, -1]")
         with pytest.raises(ValueError):
             parse_spec_text("type A rank 3")
+        with pytest.raises(ValueError):
+            parse_spec_text("type=A rank=3 label=my g2")
+        with pytest.raises(ValueError):
+            parse_spec_text("type= rank=3")

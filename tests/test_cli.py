@@ -275,6 +275,37 @@ class TestConfigAndSpec:
         assert code == EXIT_OK
         assert len(json.loads(out)["entries"]) == 1
 
+    @pytest.mark.parametrize("key", ["height", "rank", "genus"])
+    def test_non_integer_config_value_is_usage_error(self, capsys, tmp_path, key):
+        fields = {"type": "A", "rank": "1", "height": "1", "genus": "2", key: "two"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in fields.items()))
+        code, out, err = run(capsys, "--config", str(cfg), "table")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and "two" in err
+
+    @pytest.mark.parametrize("source", ["--config", "--cartan"])
+    @pytest.mark.parametrize(
+        "text,ok",
+        [
+            ("type = A\nrank = 2\n", True),
+            ("type=A rank=2\n", True),
+            ("type=A\nrank=2\nlabel=my a2\n", False),
+        ],
+        ids=["spaced", "one-line", "whitespace-in-value"],
+    )
+    def test_shared_key_value_grammar(self, capsys, tmp_path, source, text, ok):
+        path = tmp_path / "spec.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, source, str(path), "--height", "1", "table")
+        if ok:
+            assert code == EXIT_OK
+            assert len(json.loads(out)["entries"]) == 3
+        else:
+            assert code == EXIT_USAGE
+            assert err.startswith("error:")
+
     def test_cartan_file(self, capsys, tmp_path):
         matrix = tmp_path / "cartan.json"
         matrix.write_text("[[2, -1], [-1, 2]]")

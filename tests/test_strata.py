@@ -7,9 +7,8 @@ import math
 
 import pytest
 
-from bernasym.cartan import ParabolicType, coweights_up_to_height, height, root_system
+from bernasym.cartan import ParabolicType, coweights_up_to_height, height, leq, root_system
 from bernasym.strata import (
-    DefectPoset,
     codim_defect,
     defect_poset,
     defect_poset_to_json,
@@ -169,23 +168,25 @@ class TestDefectPoset:
         assert poset.covers == ()
 
     def test_a2_bound_two(self):
-        poset = defect_poset(root_system("A", 2), ParabolicType.borel(), 2)
+        rs, borel = root_system("A", 2), ParabolicType.borel()
+        poset = defect_poset(rs, borel, 2)
         assert len(poset.elements) == 6
         bottom = (0, 0)
         for v in poset.elements:
-            assert DefectPoset.leq(bottom, v)
+            assert leq(rs, borel, bottom, v)
 
     def test_covers_match_brute_force(self):
         # b covers a iff a < b with nothing strictly between, inside the box
-        poset = defect_poset(root_system("A", 2), ParabolicType.borel(), 3)
+        rs, borel = root_system("A", 2), ParabolicType.borel()
+        poset = defect_poset(rs, borel, 3)
         elements = poset.elements
         expected = set()
         for a in elements:
             for b in elements:
-                if a == b or not DefectPoset.leq(a, b):
+                if a == b or not leq(rs, borel, a, b):
                     continue
                 strictly_between = any(
-                    c != a and c != b and DefectPoset.leq(a, c) and DefectPoset.leq(c, b)
+                    c != a and c != b and leq(rs, borel, a, c) and leq(rs, borel, c, b)
                     for c in elements
                 )
                 if not strictly_between:
