@@ -262,6 +262,11 @@ class VerificationError(Exception):
             f"kostant={kostant} | series={series} | oracle={oracle}"
         )
 
+    def report(self) -> dict:
+        """JSON-ready failure report: theta and the three disagreeing traces as wire pairs."""
+        traces = {name: getattr(self, name).to_pairs() for name in ("kostant", "series", "oracle")}
+        return {"error": "identity-verification-failure", "theta": list(self.theta), **traces}
+
 
 class KostantCountError(Exception):
     """Raised when the DP partition counter disagrees with explicit enumeration."""
@@ -273,6 +278,11 @@ class KostantCountError(Exception):
         super().__init__(
             f"Kostant count mismatch at theta={theta}: DP={dp_count}, enumeration={enumerated}"
         )
+
+    def report(self) -> dict:
+        """JSON-ready failure report, in the shape of :meth:`VerificationError.report`."""
+        counts = {"dp_count": self.dp_count, "enumerated": self.enumerated}
+        return {"error": "identity-verification-failure", "theta": list(self.theta), **counts}
 
 
 @dataclass

@@ -66,8 +66,8 @@ def validate_cartan_matrix(matrix: Sequence[Sequence[int]]) -> None:
     if n == 0:
         raise ValueError("Cartan matrix must be nonempty")
     for i, row in enumerate(matrix):
-        if len(row) != n:
-            raise ValueError(f"Cartan matrix row {i} has length {len(row)}, expected {n}")
+        if not isinstance(row, (list, tuple)) or len(row) != n:
+            raise ValueError(f"Cartan matrix row {i} is {row!r}, expected a list of {n} entries")
         for j, a in enumerate(row):
             if not isinstance(a, int) or isinstance(a, bool):
                 raise ValueError(f"Cartan matrix entry ({i},{j}) = {a!r} is not an integer")
@@ -211,9 +211,8 @@ class RootSystemSpec:
         if self.cartan is not None:
             if self.series is not None or self.rank is not None:
                 raise ValueError("give either series/rank or an explicit Cartan matrix, not both")
-            matrix = tuple(tuple(int(x) for x in row) for row in self.cartan)
-            validate_cartan_matrix(matrix)
-            object.__setattr__(self, "cartan", matrix)
+            validate_cartan_matrix(self.cartan)  # before any coercion, so 2.9 or true is rejected
+            object.__setattr__(self, "cartan", tuple(tuple(row) for row in self.cartan))
         else:
             if self.series is None or self.rank is None:
                 raise ValueError("a root-system spec needs a series and a rank, or a Cartan matrix")
@@ -459,8 +458,8 @@ def root_system_to_json(rs: RootSystem) -> dict:
 
 def root_system_from_json(obj: dict) -> RootSystem:
     """Rebuild a RootSystem; reject a matrix that is not finite type or coroots it does not generate."""
-    matrix = tuple(tuple(int(x) for x in row) for row in obj["cartan"])
-    validate_cartan_matrix(matrix)
+    validate_cartan_matrix(obj["cartan"])
+    matrix = tuple(tuple(row) for row in obj["cartan"])
     rs = _from_cartan(str(obj["name"]), matrix, tuple(int(x) for x in obj["labels"]))
     if tuple(tuple(int(x) for x in b) for b in obj["positive_coroots"]) != rs.positive_coroots:
         raise ValueError(f"positive_coroots of {rs.name!r} differ from those its Cartan matrix generates")
@@ -495,14 +494,11 @@ def parse_spec_text(text: str) -> RootSystemSpec:
     if stripped.startswith("["):
         data = json.loads(stripped)
         if data and all(isinstance(x, list) for x in data):
-            rows = [tuple(int(v) for v in row) for row in data]
-        else:
-            flat = [int(v) for v in data]
-            n = int(len(flat) ** 0.5)
-            if n * n != len(flat):
-                raise ValueError(f"flat row-major matrix has length {len(flat)}, not a perfect square")
-            rows = [tuple(flat[i * n : (i + 1) * n]) for i in range(n)]
-        return RootSystemSpec(cartan=tuple(rows))
+            return RootSystemSpec(cartan=data)
+        n = int(len(data) ** 0.5)
+        if n * n != len(data):
+            raise ValueError(f"flat row-major matrix has length {len(data)}, not a perfect square")
+        return RootSystemSpec(cartan=[data[i * n : (i + 1) * n] for i in range(n)])
 
     fields = parse_key_values(stripped)
     if "type" not in fields or "rank" not in fields:

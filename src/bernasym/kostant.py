@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cartan import Coweight, RootSystem, _from_cartan, coordinate_box
+from .cartan import Coweight, RootSystem, _from_cartan, coordinate_box, validate_cartan_matrix
 
 
 @dataclass(frozen=True)
@@ -140,17 +140,33 @@ def count_cache_save(path: str) -> None:
 
 
 def count_cache_load(path: str) -> int:
-    """Load previously saved counts; returns the number of records loaded."""
+    """Load previously saved counts; returns the number of records loaded.
+
+    Every record is checked (its shape, integer fields, a finite-type matrix)
+    before any root system is built; a bad file raises ValueError and loads nothing.
+    """
     with open(path, encoding="utf-8") as fh:
         records = json.load(fh)
-    loaded = 0
+    if not isinstance(records, list):
+        raise ValueError("a count cache file holds a JSON list of records")
+    loaded: dict[tuple[RootSystem, Coweight], int] = {}
+    for record in records:
+        if not (isinstance(record, list) and len(record) == 5 and isinstance(record[0], list)):
+            raise ValueError(f"count cache record {record!r} is not [cartan, labels, name, theta, count]")
+        cartan, labels, name, theta, count = record
+        validate_cartan_matrix(cartan)
+        if not (_is_int_list(labels, len(cartan)) and _is_int_list(theta, len(cartan))
+                and isinstance(name, str) and type(count) is int):
+            raise ValueError(f"count cache record {record!r} has malformed labels, name, theta or count")
+        rs = _from_cartan(name, tuple(tuple(row) for row in cartan), tuple(labels))
+        loaded[(rs, tuple(theta))] = count
     with _COUNT_CACHE_LOCK:
-        for cartan, labels, name, theta, count in records:
-            matrix = tuple(tuple(int(x) for x in row) for row in cartan)
-            rs = _from_cartan(str(name), matrix, tuple(int(x) for x in labels))
-            _COUNT_CACHE[(rs, tuple(int(x) for x in theta))] = int(count)
-            loaded += 1
-    return loaded
+        _COUNT_CACHE.update(loaded)
+    return len(records)
+
+
+def _is_int_list(value, length: int) -> bool:
+    return isinstance(value, list) and len(value) == length and all(type(x) is int for x in value)
 
 
 # -- wire format -------------------------------------------------------------

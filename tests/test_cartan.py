@@ -135,6 +135,10 @@ class TestValidation:
             ((2, -1), (0, 2)),  # zero symmetry broken
             ((2, -2), (-2, 2)),  # affine, not finite type
             ((2, -1, -1), (-2, 2, -1), (-1, -1, 2)),  # not symmetrizable
+            ((2.9, -1.2), (-1, 2)),  # not integers (truncation would give A2)
+            ((2, -1), (-1.0, 2)),  # integral float
+            ((2, -1), (True, 2)),  # boolean
+            (2, -1, -1, 2),  # rows are not lists
         ],
     )
     def test_bad_matrices_rejected(self, matrix):
@@ -300,6 +304,12 @@ class TestWireFormats:
         with pytest.raises(ValueError, match="positive"):
             root_system_from_json(obj)
 
+    def test_root_system_json_rejects_non_integer_matrix(self):
+        obj = root_system_to_json(root_system("A", 2))
+        obj["cartan"] = [[2.9, -1.2], [-1, 2]]
+        with pytest.raises(ValueError, match="not an integer"):
+            root_system_from_json(obj)
+
     def test_root_system_json_rejects_inconsistent_coroots(self):
         # with only the simple coroots, theta (1, 1) would get 1 - 2q + q^2 instead of 1 - q
         obj = root_system_to_json(root_system("A", 2))
@@ -332,3 +342,7 @@ class TestWireFormats:
             parse_spec_text("type=A rank=3 label=my g2")
         with pytest.raises(ValueError):
             parse_spec_text("type= rank=3")
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_spec_text("[[2.9, -1.2], [-1, 2]]")
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_spec_text("[2, -1, -1, true]")

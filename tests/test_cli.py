@@ -109,6 +109,26 @@ class TestTable:
         assert report["theta"] == [0]
         assert report["oracle"] == [[9, 9]]
 
+    def test_verification_failure_report_bytes(self, capsys, monkeypatch):
+        import bernasym.asymptotics as mod
+        from bernasym.qlaurent import LaurentPoly
+
+        monkeypatch.setattr(mod, "trace_grothendieck_oracle", lambda rs, theta: LaurentPoly({9: 9}))
+        code, out, err = run(capsys, "--type", "A", "--rank", "1", "--height", "1", "table")
+        assert (code, out) == (EXIT_VERIFY, "")
+        assert err == (
+            '{"error": "identity-verification-failure", "theta": [0], '
+            '"kostant": [[0, 1]], "series": [[0, 1]], "oracle": [[9, 9]]}\n'
+        )
+
+    def test_count_failure_report_bytes(self, capsys, monkeypatch):
+        import bernasym.asymptotics as mod
+
+        monkeypatch.setattr(mod, "count_partitions", lambda rs, theta: 7)
+        code, out, err = run(capsys, "--type", "A", "--rank", "1", "--height", "1", "table")
+        assert (code, out) == (EXIT_VERIFY, "")
+        assert err == '{"error": "identity-verification-failure", "theta": [0], "dp_count": 7, "enumerated": 1}\n'
+
     def test_no_verify_skips_check(self, capsys, monkeypatch):
         import bernasym.asymptotics as mod
         from bernasym.qlaurent import LaurentPoly
@@ -306,6 +326,18 @@ class TestConfigAndSpec:
             assert code == EXIT_USAGE
             assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[[2.9, -1.2], [-1, 2]]", "[[2, -1], [-1, true]]", "[2, -1.0, -1, 2]"],
+        ids=["fractional", "boolean", "flat-float"],
+    )
+    def test_non_integer_cartan_entry_is_usage_error(self, capsys, tmp_path, text):
+        matrix = tmp_path / "cartan.json"
+        matrix.write_text(text)
+        code, out, err = run(capsys, "--cartan", str(matrix), "--height", "1", "table")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "is not an integer" in err
+
     def test_cartan_file(self, capsys, tmp_path):
         matrix = tmp_path / "cartan.json"
         matrix.write_text("[[2, -1], [-1, 2]]")
@@ -343,6 +375,77 @@ class TestConfigAndSpec:
         assert "kind" in err
 
 
+class TestConfigAsFlags:
+    """A config field key=value is read as the flag --key=value placed before argv."""
+
+    @staticmethod
+    def config(tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        return str(path)
+
+    @staticmethod
+    def break_oracle(monkeypatch):
+        import bernasym.asymptotics as mod
+        from bernasym.qlaurent import LaurentPoly
+
+        monkeypatch.setattr(mod, "trace_grothendieck_oracle", lambda rs, theta: LaurentPoly({9: 9}))
+
+    def test_negative_theta_field(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "type=A rank=1 theta=-1\n")
+        code, out, err = run(capsys, "--config", cfg, "trace")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: theta (-1,) is not positive")
+
+    def test_list_fields(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "type=A rank=3 levi=1 theta=1,1 format=text\n")
+        code, out, _ = run(capsys, "--config", cfg, "strata", "local")
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 9
+
+    @pytest.mark.parametrize("spelling", ["1", "true", "yes", "on", "TRUE"])
+    def test_verify_on_spellings(self, capsys, tmp_path, monkeypatch, spelling):
+        self.break_oracle(monkeypatch)
+        cfg = self.config(tmp_path, f"type=A rank=1 height=1 verify={spelling}\n")
+        assert run(capsys, "--config", cfg, "table")[0] == EXIT_VERIFY
+
+    @pytest.mark.parametrize("spelling", ["0", "false", "no", "off", "Off"])
+    def test_verify_off_spellings(self, capsys, tmp_path, monkeypatch, spelling):
+        self.break_oracle(monkeypatch)
+        cfg = self.config(tmp_path, f"type=A rank=1 height=1 verify={spelling}\n")
+        assert run(capsys, "--config", cfg, "table")[0] == EXIT_OK
+
+    @pytest.mark.parametrize("spelling", ["ture", "", "2", "disabled"])
+    def test_misspelled_verify_is_usage_error(self, capsys, tmp_path, monkeypatch, spelling):
+        self.break_oracle(monkeypatch)
+        cfg = self.config(tmp_path, f"type=A rank=1 height=1 verify={spelling}\n")
+        code, out, err = run(capsys, "--config", cfg, "table")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: config field verify=")
+
+    def test_no_verify_flag_overrides_field(self, capsys, tmp_path, monkeypatch):
+        self.break_oracle(monkeypatch)
+        cfg = self.config(tmp_path, "type=A rank=1 height=1 verify=true\n")
+        assert run(capsys, "--config", cfg, "--no-verify", "table")[0] == EXIT_OK
+
+    def test_verify_flag_overrides_field(self, capsys, tmp_path, monkeypatch):
+        self.break_oracle(monkeypatch)
+        cfg = self.config(tmp_path, "type=A rank=1 height=1 verify=false\n")
+        assert run(capsys, "--config", cfg, "--verify", "table")[0] == EXIT_VERIFY
+
+    def test_unknown_key_is_usage_error(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "type=A rank=1 height=1 colour=red\n")
+        code, out, err = run(capsys, "--config", cfg, "table")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: unrecognized arguments: --colour=red\n"
+
+    def test_label_field_names_the_system(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "type=A rank=1 height=0 label=line\n")
+        code, out, _ = run(capsys, "--config", cfg, "table")
+        assert code == EXIT_OK
+        assert json.loads(out)["root_system"]["name"] == "line"
+
+
 class TestCountCacheEnv:
     def test_cache_file_created_and_reused(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("BERNASYM_CACHE_DIR", str(tmp_path))
@@ -361,3 +464,15 @@ class TestCountCacheEnv:
         (tmp_path / "kostant_counts.json").write_text("not json at all")
         code, _, _ = run(capsys, "--type", "A", "--rank", "1", "--height", "1", "table")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "records",
+        [[1], [[[[2, -2], [-2, 2]], [0, 1], "affine", [1, 1], 3]]],
+        ids=["not-a-record", "affine-matrix"],
+    )
+    def test_bad_cache_file_ignored(self, capsys, tmp_path, monkeypatch, records):
+        monkeypatch.setenv("BERNASYM_CACHE_DIR", str(tmp_path))
+        (tmp_path / "kostant_counts.json").write_text(json.dumps(records))
+        code, out, _ = run(capsys, "--type", "A", "--rank", "1", "--height", "1", "table")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["entries"]) == 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from bernasym.cartan import coweights_up_to_height, root_system
@@ -113,6 +115,32 @@ class TestCounting:
         loaded = count_cache_load(str(path))
         assert loaded >= 1
         assert count_partitions(rs, (3, 2)) == value
+
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            {"not": "a list"},
+            [1],
+            [[[[2, -1], [-1, 2]], [0, 1], "A2", [1, 1]]],
+            [[[[2, -1], [-1, 2]], [0], "A2", [1, 1], 1]],
+            [[[[2, -1], [-1, 2]], [0, 1], "A2", [1, 1], "1"]],
+            [[[[2, -2], [-2, 2]], [0, 1], "affine", [1, 1], 3]],
+            [[[[2.5, -1], [-1, 2]], [0, 1], "A2", [1, 1], 1]],
+        ],
+        ids=["not-a-list", "int-record", "short-record", "short-labels", "string-count", "affine", "float-entry"],
+    )
+    def test_cache_load_rejects_bad_records(self, tmp_path, records):
+        count_cache_clear()
+        good = [[[2, -1], [-1, 2]], [0, 1], "A2", [2, 1], 99]
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps([good] + records if isinstance(records, list) else records))
+        try:
+            with pytest.raises(ValueError):
+                count_cache_load(str(path))
+            assert count_partitions(root_system("A", 2), (2, 1)) == 2  # nothing was loaded
+        finally:
+            count_cache_clear()
 
 
 class TestSimpleFamily:
