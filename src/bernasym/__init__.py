@@ -9,7 +9,6 @@ index combinatorics of the underlying stratifications.
 
 from .asymptotics import (
     AsympTable,
-    KostantCountError,
     ColoredDivisor,
     MonoidSeries,
     VerificationError,
@@ -70,7 +69,6 @@ __all__ = [
     "DefectPoset",
     "DefectStratumIndex",
     "GrothendieckClass",
-    "KostantCountError",
     "KostantPartition",
     "LaurentPoly",
     "MonoidSeries",

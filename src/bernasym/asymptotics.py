@@ -87,6 +87,7 @@ class MonoidSeries:
             return NotImplemented
         if self.height_bound != other.height_bound:
             raise ValueError("cannot multiply series with different height bounds")
+        # keys of one series share a length (the constructor checks it, products keep it): first keys suffice
         if self._terms and other._terms:
             k1 = next(iter(self._terms))
             k2 = next(iter(other._terms))
@@ -103,7 +104,9 @@ class MonoidSeries:
                 acc = out.get(key)
                 prod = p1 * p2
                 out[key] = prod if acc is None else acc + prod
-        return MonoidSeries(bound, out)
+        product = MonoidSeries(bound)
+        product._terms = {key: poly for key, poly in out.items() if poly}
+        return product
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonoidSeries):
@@ -127,8 +130,6 @@ def geometric_factor(beta: Coweight, height_bound: int) -> MonoidSeries:
 
 def gk_product_series(rs: RootSystem, height_bound: int) -> MonoidSeries:
     """Product of the geometric factors over all positive coroots, truncated."""
-    if height_bound < 1:
-        raise ValueError("the product series needs a height bound >= 1")
     series = MonoidSeries.one(height_bound, rs.rank)
     for beta in rs.positive_coroots:
         series = series * geometric_factor(beta, height_bound)
@@ -250,39 +251,25 @@ def divisor_trace(rs: RootSystem, divisor: ColoredDivisor) -> LaurentPoly:
 
 
 class VerificationError(Exception):
-    """Raised when the three trace routes disagree at some theta."""
+    """Raised when values that must be equal at some theta differ, e.g. the three trace routes."""
 
-    def __init__(self, theta: Coweight, kostant: LaurentPoly, series: LaurentPoly, oracle: LaurentPoly):
+    def __init__(self, theta: Coweight, **values: LaurentPoly | int):
         self.theta = theta
-        self.kostant = kostant
-        self.series = series
-        self.oracle = oracle
-        super().__init__(
-            f"trace routes disagree at theta={theta}: "
-            f"kostant={kostant} | series={series} | oracle={oracle}"
-        )
+        self.values = values
+        detail = " | ".join(f"{name}={value}" for name, value in values.items())
+        super().__init__(f"values disagree at theta={theta}: {detail}")
+
+    @classmethod
+    def check(cls, theta: Coweight, **values: LaurentPoly | int) -> None:
+        """Raise a VerificationError naming theta and every value unless all the values are equal."""
+        first, *rest = values.values()
+        if any(value != first for value in rest):
+            raise cls(theta, **values)
 
     def report(self) -> dict:
-        """JSON-ready failure report: theta and the three disagreeing traces as wire pairs."""
-        traces = {name: getattr(self, name).to_pairs() for name in ("kostant", "series", "oracle")}
-        return {"error": "identity-verification-failure", "theta": list(self.theta), **traces}
-
-
-class KostantCountError(Exception):
-    """Raised when the DP partition counter disagrees with explicit enumeration."""
-
-    def __init__(self, theta: Coweight, dp_count: int, enumerated: int):
-        self.theta = theta
-        self.dp_count = dp_count
-        self.enumerated = enumerated
-        super().__init__(
-            f"Kostant count mismatch at theta={theta}: DP={dp_count}, enumeration={enumerated}"
-        )
-
-    def report(self) -> dict:
-        """JSON-ready failure report, in the shape of :meth:`VerificationError.report`."""
-        counts = {"dp_count": self.dp_count, "enumerated": self.enumerated}
-        return {"error": "identity-verification-failure", "theta": list(self.theta), **counts}
+        """JSON-ready failure report: theta, then each value in order, polynomials as wire pairs."""
+        values = {k: v.to_pairs() if isinstance(v, LaurentPoly) else v for k, v in self.values.items()}
+        return {"error": "identity-verification-failure", "theta": list(self.theta), **values}
 
 
 @dataclass
@@ -297,9 +284,6 @@ class AsympTable:
     height_bound: int
     entries: dict[Coweight, LaurentPoly] = field(default_factory=dict)
     genus: int | None = None
-
-    def entry(self, theta: Sequence[int]) -> LaurentPoly:
-        return self.entries[tuple(int(x) for x in theta)]
 
     def metadata(self) -> dict:
         meta: dict = {
@@ -349,46 +333,45 @@ def build_asymp_table(
     verify: bool = True,
     genus: int | None = None,
 ) -> AsympTable:
-    """Tabulate the Kostant-sum trace for every positive theta of height <= bound.
+    """Tabulate the Kostant-sum trace for every positive theta of height <= bound (>= 0).
 
-    With ``verify`` set, every entry is checked for exact equality against the
-    series route and the Grothendieck-class route (any mismatch raises
-    :class:`VerificationError` naming the offending theta and all three
-    values), and the Kostant enumeration cardinality is cross-checked against
-    the independent DP counter (:class:`KostantCountError` on mismatch).
+    With ``verify`` set, :meth:`VerificationError.check` makes two checks at
+    every theta: the Kostant sum, the series route and the Grothendieck-class
+    route give the same trace (``kostant``, ``series``, ``oracle``), and the
+    independent DP counter gives the number of enumerated Kostant partitions
+    (``dp_count``, ``enumerated``).  The first failure raises, naming theta
+    and the values it compared.
     """
-    if height_bound < 0:
-        raise ValueError("height bound must be >= 0")
-    series = gk_product_series(rs, height_bound) if (verify and height_bound >= 1) else None
+    series = gk_product_series(rs, height_bound) if verify else None
     entries: dict[Coweight, LaurentPoly] = {}
     for theta in coweights_up_to_height(rs.rank, height_bound):
         value = trace_kostant_sum(rs, theta)
         if verify:
-            from_series = (
-                trace_from_series(series, rs, theta) if series is not None else LaurentPoly.one()
-            )
-            from_oracle = trace_grothendieck_oracle(rs, theta)
-            if not (value == from_series == from_oracle):
-                raise VerificationError(theta, value, from_series, from_oracle)
-            enumerated = len(enumerate_partitions(rs, theta))
-            counted = count_partitions(rs, theta)
-            if counted != enumerated:
-                raise KostantCountError(theta, counted, enumerated)
+            VerificationError.check(theta, kostant=value, series=trace_from_series(series, rs, theta),
+                                    oracle=trace_grothendieck_oracle(rs, theta))
+            VerificationError.check(theta, dp_count=count_partitions(rs, theta),
+                                    enumerated=len(enumerate_partitions(rs, theta)))
         entries[theta] = value
     return AsympTable(root_system=rs, height_bound=height_bound, entries=entries, genus=genus)
 
 
 def asymp_table_from_json(obj: Mapping) -> AsympTable:
+    """Rebuild a table; every theta must be a distinct positive coweight of height <= ``height``."""
     rs = root_system_from_json(obj["root_system"])
+    height_bound = int(obj["height"])
     entries: dict[Coweight, LaurentPoly] = {}
     for record in obj["entries"]:
-        theta = tuple(int(x) for x in record["theta"])
+        theta = rs.check_positive_coweight(record["theta"])
+        if height(theta) > height_bound:
+            raise ValueError(f"table entry {theta} exceeds the height bound {height_bound}")
+        if theta in entries:
+            raise ValueError(f"table entry {theta} appears twice")
         entries[theta] = LaurentPoly.from_pairs(record["trace"])
     meta = obj.get("metadata", {})
     genus = meta.get("genus")
     return AsympTable(
         root_system=rs,
-        height_bound=int(obj["height"]),
+        height_bound=height_bound,
         entries=entries,
         genus=int(genus) if genus is not None else None,
     )

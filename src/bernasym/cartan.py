@@ -262,7 +262,9 @@ class RootSystem:
     def check_coweight(self, theta: Sequence[int]) -> Coweight:
         if len(theta) != self.rank:
             raise ValueError(f"coweight has length {len(theta)}, expected rank {self.rank}")
-        return tuple(int(x) for x in theta)
+        if any(type(x) is not int for x in theta):
+            raise ValueError(f"coweight {tuple(theta)} has a coordinate that is not an integer")
+        return tuple(theta)
 
     def check_positive_coweight(self, theta: Sequence[int]) -> Coweight:
         """theta as an int tuple of length rank with every coordinate >= 0, else a ValueError."""
@@ -389,7 +391,9 @@ def check_quotient_coweight(rs: RootSystem, p: ParabolicType, theta: Sequence[in
             f"quotient coweight has length {len(theta)}, expected {expected}"
             f" (rank {rs.rank} minus {len(p.levi_vertices)} Levi vertices)"
         )
-    return tuple(int(x) for x in theta)
+    if any(type(x) is not int for x in theta):
+        raise ValueError(f"quotient coweight {tuple(theta)} has a coordinate that is not an integer")
+    return tuple(theta)
 
 
 def leq(rs: RootSystem, p: ParabolicType, a: Sequence[int], b: Sequence[int]) -> bool:

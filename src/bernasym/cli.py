@@ -12,7 +12,6 @@ import os
 import sys
 
 from .asymptotics import (
-    KostantCountError,
     VerificationError,
     build_asymp_table,
     divisor_trace,
@@ -170,12 +169,12 @@ def _cmd_trace(args: argparse.Namespace, rs: RootSystem) -> dict:
     theta = _checked(rs.check_positive_coweight, args.theta)
     routes = {
         "kostant": lambda: trace_kostant_sum(rs, theta),
-        "series": lambda: trace_from_series(gk_product_series(rs, max(1, sum(theta))), rs, theta),
+        "series": lambda: trace_from_series(gk_product_series(rs, sum(theta)), rs, theta),
         "oracle": lambda: trace_grothendieck_oracle(rs, theta),
     }
     values = {name: route() for name, route in routes.items() if args.method in (name, "all")}
-    if args.method == "all" and not (values["kostant"] == values["series"] == values["oracle"]):
-        raise VerificationError(theta, values["kostant"], values["series"], values["oracle"])
+    if args.method == "all":
+        VerificationError.check(theta, **values)
     traces = {name: poly.to_pairs() for name, poly in values.items()}
     return {
         "text": lambda: "".join(f"{poly}\n" for poly in values.values()),
@@ -251,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (VerificationError, KostantCountError) as exc:
+    except VerificationError as exc:
         sys.stderr.write(json.dumps(exc.report()) + "\n")
         return EXIT_VERIFY
 

@@ -123,7 +123,7 @@ def count_cache_clear() -> None:
 
 
 def count_cache_save(path: str) -> None:
-    """Persist cached counts as JSON records [cartan, labels, theta, count]."""
+    """Persist cached counts as JSON records [cartan, labels, name, theta, count]."""
     with _COUNT_CACHE_LOCK:
         records = [
             [
@@ -182,12 +182,11 @@ def partition_from_json(rs: RootSystem, data: Sequence[Sequence]) -> KostantPart
     parts: list[tuple[int, int]] = []
     weight = [0] * rs.rank
     for coords, n in data:
-        beta = tuple(int(x) for x in coords)
+        beta = rs.check_coweight(coords)
         if beta not in index:
             raise ValueError(f"{beta} is not a positive coroot of {rs.name}")
-        n = int(n)
-        if n < 1:
-            raise ValueError("multiplicities must be >= 1")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"multiplicity {n!r} is not an integer >= 1")
         parts.append((index[beta], n))
         for k in range(rs.rank):
             weight[k] += n * beta[k]

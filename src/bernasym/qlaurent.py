@@ -144,9 +144,10 @@ class LaurentPoly:
     @staticmethod
     def from_pairs(pairs: Iterable[Iterable[int]]) -> "LaurentPoly":
         out: dict[int, int] = {}
-        for pair in pairs:
-            e, c = pair
-            out[int(e)] = out.get(int(e), 0) + int(c)
+        for e, c in pairs:
+            if type(e) is not int or type(c) is not int:
+                raise ValueError(f"wire pair {[e, c]} is not a pair of integers")
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
     # -- rendering ---------------------------------------------------------

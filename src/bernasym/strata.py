@@ -136,8 +136,6 @@ class DefectPoset:
 def defect_poset(rs: RootSystem, p: ParabolicType, bound: int) -> DefectPoset:
     """The height-bounded box with its covering relations (+1 on one coordinate)."""
     p.validate(rs)
-    if bound < 0:
-        raise ValueError("height bound must be >= 0")
     quotient_rank = rs.rank - len(p.levi_vertices)
     elements = tuple(coweights_up_to_height(quotient_rank, bound))
     covers: list[tuple[QuotientCoweight, QuotientCoweight]] = []

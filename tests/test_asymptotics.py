@@ -47,7 +47,11 @@ ONE_MINUS_Q = LaurentPoly({0: 1, 1: -1})
     ],
     ids=["enumerate", "enumerate_simple", "count", "kostant_sum", "series", "oracle", "codim"],
 )
-@pytest.mark.parametrize("theta", [(-1, 1), (1,), (1, 0, 0)], ids=["negative", "short", "long"])
+@pytest.mark.parametrize(
+    "theta",
+    [(-1, 1), (1,), (1, 0, 0), (1.5, 0), (True, 0)],
+    ids=["negative", "short", "long", "fractional", "boolean"],
+)
 def test_positive_coweight_required(check, theta):
     with pytest.raises(ValueError):
         check(root_system("A", 2), theta)
@@ -121,8 +125,16 @@ class TestSeries:
             MonoidSeries(2, {(-1,): ONE})  # negative key
         with pytest.raises(ValueError):
             MonoidSeries(2, {(1,): ONE, (1, 0): ONE})  # mixed key lengths
-        with pytest.raises(ValueError):
-            gk_product_series(root_system("A", 1), 0)
+
+    def test_bound_zero_product_is_unit(self):
+        for series, rank in [("A", 1), ("B", 2), ("G", 2)]:
+            assert gk_product_series(root_system(series, rank), 0) == MonoidSeries.one(0, rank)
+
+    def test_cancelled_product_term_dropped(self):
+        # (1 + e) * (1 - e) = 1 - e^2: the coefficient of e cancels
+        product = MonoidSeries(2, {(0,): ONE, (1,): ONE}) * MonoidSeries(2, {(0,): ONE, (1,): -ONE})
+        assert (1,) not in dict(product.terms())
+        assert product == MonoidSeries(2, {(0,): ONE, (1,): LaurentPoly.zero(), (2,): -ONE})
 
     def test_mixed_rank_product_rejected(self):
         a1 = MonoidSeries(2, {(1,): ONE})
@@ -283,8 +295,8 @@ class TestTable:
             build_asymp_table(root_system("A", 1), 1, verify=True)
         err = excinfo.value
         assert err.theta == (0,)
-        assert err.oracle == bad
-        assert err.kostant == ONE
+        assert err.values["oracle"] == bad
+        assert err.values["kostant"] == ONE
 
     def test_json_round_trip(self):
         table = build_asymp_table(root_system("G", 2), 3, verify=False, genus=2)
@@ -293,6 +305,18 @@ class TestTable:
         assert clone.entries == table.entries
         assert clone.height_bound == table.height_bound
         assert clone.genus == 2
+
+    @pytest.mark.parametrize(
+        "theta, match",
+        [([1], "length"), ([1, 0, 0], "length"), ([-1, 1], "not positive"), ([2, 2], "height bound"),
+         ([1, 0], "twice")],
+        ids=["short", "long", "negative", "above-height", "duplicate"],
+    )
+    def test_json_rejects_bad_entry(self, theta, match):
+        obj = build_asymp_table(root_system("A", 2), 3, verify=False).to_json_obj()
+        obj["entries"].append({"theta": theta, "trace": [[0, 1]]})
+        with pytest.raises(ValueError, match=match):
+            asymp_table_from_json(obj)
 
     def test_metadata(self):
         table = build_asymp_table(root_system("A", 1), 1, verify=False, genus=2)

@@ -19,6 +19,7 @@ from bernasym.cartan import (
     RootSystem,
     RootSystemSpec,
     build_root_system,
+    check_quotient_coweight,
     coweights_up_to_height,
     height,
     leq,
@@ -227,6 +228,11 @@ class TestQuotient:
             leq(rs, ParabolicType.borel(), (1,), (1, 1))
         with pytest.raises(ValueError):
             leq(rs, ParabolicType((0,)), (1, 1), (1, 1))
+
+    def test_non_integer_quotient_coweight_rejected(self):
+        rs = root_system("A", 2)
+        with pytest.raises(ValueError, match="not an integer"):
+            check_quotient_coweight(rs, ParabolicType((0,)), (1.5,))
 
     def test_projection(self):
         rs = root_system("A", 2)

@@ -148,6 +148,20 @@ class TestTrace:
         assert code == EXIT_OK
         assert out == "1 - q\n1 - q\n1 - q\n"
 
+    def test_trace_all_failure_report_bytes(self, capsys, monkeypatch):
+        import bernasym.cli as cli
+        from bernasym.qlaurent import LaurentPoly
+
+        monkeypatch.setattr(cli, "trace_grothendieck_oracle", lambda rs, theta: LaurentPoly({9: 9}))
+        code, out, err = run(
+            capsys, "--type", "A", "--rank", "1", "--theta", "2", "--method", "all", "trace"
+        )
+        assert (code, out) == (EXIT_VERIFY, "")
+        assert err == (
+            '{"error": "identity-verification-failure", "theta": [2], '
+            '"kostant": [[0, 1], [1, -1]], "series": [[0, 1], [1, -1]], "oracle": [[9, 9]]}\n'
+        )
+
     def test_zero_theta(self, capsys):
         code, out, _ = run(capsys, "--type", "A", "--rank", "2", "--theta", "0,0", "trace")
         assert code == EXIT_OK

@@ -209,3 +209,7 @@ class TestWireFormat:
             partition_from_json(rs, [[[1, 0], 0]])
         with pytest.raises(ValueError):
             partition_from_json(rs, [[[1, 0], 1], [[1, 0], 2]])
+        with pytest.raises(ValueError, match="integer"):
+            partition_from_json(rs, [[[1, 0], 1.9]])  # was read as multiplicity 1
+        with pytest.raises(ValueError, match="integer"):
+            partition_from_json(rs, [[[1.0, 0], 1]])

@@ -96,6 +96,11 @@ class TestWireFormat:
             p = rand_poly(rng)
             assert LaurentPoly.from_pairs(p.to_pairs()) == p
 
+    @pytest.mark.parametrize("pair", [[0, 1.5], [0.7, 2], [0, True]], ids=["coefficient", "exponent", "boolean"])
+    def test_non_integer_pair_rejected(self, pair):
+        with pytest.raises(ValueError, match="not a pair of integers"):
+            LaurentPoly.from_pairs([pair])
+
 
 class TestRendering:
     @pytest.mark.parametrize(
