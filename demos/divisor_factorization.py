@@ -13,7 +13,8 @@ a2 = root_system("A", 2)
 # Two points carrying (1,0) and (0,2).
 divisor = parse_divisor("x:1,0;y:0,2", rank=2)
 print(f"divisor: {divisor.points}")
-print(f"total weight: {divisor.total_weight}")
+total = tuple(sum(coords) for coords in zip(*(theta for _, theta in divisor.points)))
+print(f"total weight: {total}")
 print(f"trace: {divisor_trace(a2, divisor)}")
 
 # The same weight concentrated at a single point gives a different trace:

@@ -12,7 +12,6 @@ from bernasym import (
     defect_poset,
     enumerate_local_strata,
     enumerate_parabolic_strata,
-    pair_form_description,
     root_system,
 )
 
@@ -20,7 +19,7 @@ a2 = root_system("A", 2)
 
 print("parabolic strata of A2 (subset of vertices -> canonical point):")
 for stratum in enumerate_parabolic_strata(a2):
-    kind = " (Borel)" if stratum.is_borel else " (full group)" if stratum.is_group else ""
+    kind = {0: " (Borel)", a2.rank: " (full group)"}.get(len(stratum.levi_vertices), "")
     print(f"  I_M = {stratum.levi_vertices!s:<8} c_P = {stratum.canonical_point}{kind}")
 
 theta = (1, 1)
@@ -30,7 +29,6 @@ for s in strata:
     print(f"  {s.parts[0]} + {s.parts[1]} + {s.parts[2]}   defect {s.defect}")
 
 print(f"\ncodim of the defect-{theta} stratum: {codim_defect(a2, theta)}")
-print(f"global pair form for that defect: {pair_form_description(theta)}")
 
 # The defect poset on a height-bounded box, with covering relations.
 poset = defect_poset(a2, ParabolicType.borel(), 2)

@@ -34,7 +34,6 @@ from .cartan import (
     leq,
     levi_subsystem,
     parse_spec_text,
-    project_to_quotient,
     root_system,
     root_system_from_json,
     root_system_to_json,
@@ -56,7 +55,6 @@ from .strata import (
     defect_poset,
     enumerate_local_strata,
     enumerate_parabolic_strata,
-    pair_form_description,
 )
 
 __version__ = "0.1.0"
@@ -94,12 +92,10 @@ __all__ = [
     "height",
     "leq",
     "levi_subsystem",
-    "pair_form_description",
     "parse_divisor",
     "parse_spec_text",
     "partition_from_json",
     "partition_to_json",
-    "project_to_quotient",
     "root_system",
     "root_system_from_json",
     "root_system_to_json",

@@ -11,8 +11,8 @@ agreement:
   expanded as a truncated formal series over the positive-coweight monoid
   and converted from the e-basis (``e^theta = q^<rho,theta> 1_theta``).
 * ``trace_grothendieck_oracle``: the trace of the formal shift/twist class
-  assembled over ordered splittings theta1 + theta2 = theta with a Kostant
-  partition of theta1 and a *simple* partition of theta2.
+  assembled over pairs (K1, K2) of a Kostant partition and a *simple*
+  partition with K1 + K2 = theta, found by its own search over the coroots.
 
 All traces are normalized: the global factor q^(-dim(Bun_G)/2) is omitted and
 reported symbolically in the table metadata, keeping every value an integer
@@ -28,14 +28,14 @@ from typing import Mapping, Sequence
 from .cartan import (
     Coweight,
     RootSystem,
-    coordinate_box,
+    check_integers,
     coweights_up_to_height,
     height,
     is_positive,
     root_system_from_json,
     root_system_to_json,
 )
-from .kostant import count_partitions, enumerate_partitions, enumerate_simple_partitions
+from .kostant import count_partitions, enumerate_partitions
 from .qlaurent import GrothendieckClass, LaurentPoly
 
 NORMALIZATION_EXPONENT = "-(g-1)*dim(G)/2"
@@ -60,7 +60,7 @@ class MonoidSeries:
         rank: int | None = None
         if terms:
             for key, poly in terms.items():
-                key = tuple(int(x) for x in key)
+                key = check_integers(key, "series key")
                 if rank is None:
                     rank = len(key)
                 elif len(key) != rank:
@@ -77,7 +77,7 @@ class MonoidSeries:
         return MonoidSeries(height_bound, {tuple(0 for _ in range(rank)): LaurentPoly.one()})
 
     def coefficient(self, theta: Sequence[int]) -> LaurentPoly:
-        return self._terms.get(tuple(int(x) for x in theta), LaurentPoly.zero())
+        return self._terms.get(check_integers(theta), LaurentPoly.zero())
 
     def terms(self) -> list[tuple[Coweight, LaurentPoly]]:
         return sorted(self._terms.items(), key=lambda kv: (height(kv[0]), kv[0]))
@@ -158,25 +158,34 @@ def trace_kostant_sum(rs: RootSystem, theta: Sequence[int]) -> LaurentPoly:
 
 
 def trace_grothendieck_oracle(rs: RootSystem, theta: Sequence[int]) -> LaurentPoly:
-    """Trace of the class sum over splittings theta1 + theta2 = theta.
+    """Trace of the class sum over pairs (K1, K2) with K1 + K2 = theta.
 
-    Each pair (K1 a partition of theta1, K2 a simple partition of theta2)
-    contributes the class with shift 2|K1| + |K2| and twist |K1|, whose trace
-    is (-1)^|K2| q^-|K1|; the result is again multiplied by q^<rho,theta>.
+    K1 is a Kostant partition and K2 a simple one (each coroot at most once).
+    Each pair contributes the class with shift 2|K1| + |K2| and twist |K1|,
+    whose trace is (-1)^|K2| q^-|K1|; the result is again multiplied by
+    q^<rho,theta>.  The pairs are found by one search over the coroots: each
+    step picks the next coroot used, n >= 1 times in all, and puts either all
+    n copies in K1 or n - 1 in K1 and one in K2.
     """
     theta = rs.check_positive_coweight(theta)
+    coroots = rs.positive_coroots
     terms: dict[tuple[int, int], int] = {}
-    for theta2 in coordinate_box(theta):
-        simples = enumerate_simple_partitions(rs, theta2)
-        if not simples:
-            continue
-        theta1 = tuple(t - s for t, s in zip(theta, theta2))
-        for k1 in enumerate_partitions(rs, theta1):
-            for k2 in simples:
-                key = (2 * k1.size + k2.size, k1.size)
-                terms[key] = terms.get(key, 0) + 1
-    cls = GrothendieckClass(terms)
-    return LaurentPoly.q_power(height(theta)) * cls.trace()
+
+    def descend(i: int, remaining: Coweight, k1: int, k2: int) -> None:
+        if not any(remaining):
+            key = (2 * k1 + k2, k1)
+            terms[key] = terms.get(key, 0) + 1
+            return
+        for j in range(i, len(coroots)):
+            beta = coroots[j]
+            cap = min(r // b for r, b in zip(remaining, beta) if b)
+            for n in range(1, cap + 1):
+                rest = tuple(r - n * b for r, b in zip(remaining, beta))
+                descend(j + 1, rest, k1 + n, k2)
+                descend(j + 1, rest, k1 + n - 1, k2 + 1)
+
+    descend(0, theta, 0, 0)
+    return LaurentPoly.q_power(height(theta)) * GrothendieckClass(terms).trace()
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +200,7 @@ class ColoredDivisor:
     points: tuple[tuple[str, Coweight], ...]
 
     def __post_init__(self) -> None:
-        normalized = tuple((str(label), tuple(int(x) for x in theta)) for label, theta in self.points)
+        normalized = tuple((str(label), check_integers(theta)) for label, theta in self.points)
         labels = [label for label, _ in normalized]
         if len(set(labels)) != len(labels):
             raise ValueError("divisor point labels must be pairwise distinct")
@@ -201,17 +210,6 @@ class ColoredDivisor:
             if all(x == 0 for x in theta):
                 raise ValueError(f"divisor part at {label!r} is zero; drop the point instead")
         object.__setattr__(self, "points", normalized)
-
-    @property
-    def total_weight(self) -> Coweight:
-        if not self.points:
-            return ()
-        rank = len(self.points[0][1])
-        total = [0] * rank
-        for _, theta in self.points:
-            for i, x in enumerate(theta):
-                total[i] += x
-        return tuple(total)
 
 
 def parse_divisor(text: str, rank: int) -> ColoredDivisor:
@@ -358,7 +356,10 @@ def build_asymp_table(
 def asymp_table_from_json(obj: Mapping) -> AsympTable:
     """Rebuild a table; every theta must be a distinct positive coweight of height <= ``height``."""
     rs = root_system_from_json(obj["root_system"])
-    height_bound = int(obj["height"])
+    height_bound = obj["height"]
+    genus = obj.get("metadata", {}).get("genus")
+    if type(height_bound) is not int or not (genus is None or type(genus) is int):
+        raise ValueError(f"table height {height_bound!r} and genus {genus!r} must be integers")
     entries: dict[Coweight, LaurentPoly] = {}
     for record in obj["entries"]:
         theta = rs.check_positive_coweight(record["theta"])
@@ -367,11 +368,4 @@ def asymp_table_from_json(obj: Mapping) -> AsympTable:
         if theta in entries:
             raise ValueError(f"table entry {theta} appears twice")
         entries[theta] = LaurentPoly.from_pairs(record["trace"])
-    meta = obj.get("metadata", {})
-    genus = meta.get("genus")
-    return AsympTable(
-        root_system=rs,
-        height_bound=height_bound,
-        entries=entries,
-        genus=int(genus) if genus is not None else None,
-    )
+    return AsympTable(root_system=rs, height_bound=height_bound, entries=entries, genus=genus)

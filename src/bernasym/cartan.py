@@ -2,8 +2,8 @@
 
 Builds the positive coroots of any finite-type Cartan matrix (named series
 A-G or an explicit matrix), computes heights and the rho-pairing, restricts
-to Levi subsystems, and projects to the quotient lattice attached to a
-standard parabolic.
+to Levi subsystems, and checks coweights of the quotient lattice attached to
+a standard parabolic.
 
 Conventions
 -----------
@@ -47,6 +47,13 @@ def height(vector: Sequence[int]) -> int:
 
 def is_positive(vector: Sequence[int]) -> bool:
     return all(x >= 0 for x in vector)
+
+
+def check_integers(vector: Sequence[int], what: str = "coweight") -> tuple[int, ...]:
+    """vector as a tuple, or a ValueError naming ``what`` if an entry's type is not exactly int."""
+    if any(type(x) is not int for x in vector):
+        raise ValueError(f"{what} {tuple(vector)} has a coordinate that is not an integer")
+    return tuple(vector)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +269,7 @@ class RootSystem:
     def check_coweight(self, theta: Sequence[int]) -> Coweight:
         if len(theta) != self.rank:
             raise ValueError(f"coweight has length {len(theta)}, expected rank {self.rank}")
-        if any(type(x) is not int for x in theta):
-            raise ValueError(f"coweight {tuple(theta)} has a coordinate that is not an integer")
-        return tuple(theta)
+        return check_integers(theta)
 
     def check_positive_coweight(self, theta: Sequence[int]) -> Coweight:
         """theta as an int tuple of length rank with every coordinate >= 0, else a ValueError."""
@@ -351,35 +356,20 @@ class ParabolicType:
     levi_vertices: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        verts = tuple(sorted(set(int(v) for v in self.levi_vertices)))
+        verts = tuple(sorted(set(check_integers(self.levi_vertices, "Levi vertex list"))))
         object.__setattr__(self, "levi_vertices", verts)
 
     @staticmethod
     def borel() -> "ParabolicType":
         return ParabolicType(())
 
-    @staticmethod
-    def full(rs: RootSystem) -> "ParabolicType":
-        return ParabolicType(tuple(range(rs.rank)))
-
     def validate(self, rs: RootSystem) -> None:
         for v in self.levi_vertices:
             if not (0 <= v < rs.rank):
                 raise ValueError(f"Levi vertex {v} is out of range for rank {rs.rank}")
 
-    def complement(self, rs: RootSystem) -> tuple[int, ...]:
-        kept = set(self.levi_vertices)
-        return tuple(i for i in range(rs.rank) if i not in kept)
-
 
 QuotientCoweight = tuple[int, ...]
-
-
-def project_to_quotient(rs: RootSystem, p: ParabolicType, theta: Sequence[int]) -> QuotientCoweight:
-    """Image of theta in the quotient lattice: delete the Levi coordinates."""
-    theta = rs.check_coweight(theta)
-    p.validate(rs)
-    return tuple(theta[i] for i in p.complement(rs))
 
 
 def check_quotient_coweight(rs: RootSystem, p: ParabolicType, theta: Sequence[int]) -> QuotientCoweight:
@@ -391,9 +381,7 @@ def check_quotient_coweight(rs: RootSystem, p: ParabolicType, theta: Sequence[in
             f"quotient coweight has length {len(theta)}, expected {expected}"
             f" (rank {rs.rank} minus {len(p.levi_vertices)} Levi vertices)"
         )
-    if any(type(x) is not int for x in theta):
-        raise ValueError(f"quotient coweight {tuple(theta)} has a coordinate that is not an integer")
-    return tuple(theta)
+    return check_integers(theta, "quotient coweight")
 
 
 def leq(rs: RootSystem, p: ParabolicType, a: Sequence[int], b: Sequence[int]) -> bool:
@@ -464,8 +452,8 @@ def root_system_from_json(obj: dict) -> RootSystem:
     """Rebuild a RootSystem; reject a matrix that is not finite type or coroots it does not generate."""
     validate_cartan_matrix(obj["cartan"])
     matrix = tuple(tuple(row) for row in obj["cartan"])
-    rs = _from_cartan(str(obj["name"]), matrix, tuple(int(x) for x in obj["labels"]))
-    if tuple(tuple(int(x) for x in b) for b in obj["positive_coroots"]) != rs.positive_coroots:
+    rs = _from_cartan(str(obj["name"]), matrix, check_integers(obj["labels"], "labels"))
+    if tuple(tuple(b) for b in obj["positive_coroots"]) != rs.positive_coroots:
         raise ValueError(f"positive_coroots of {rs.name!r} differ from those its Cartan matrix generates")
     return rs
 

@@ -2,9 +2,9 @@
 
 A partition of theta assigns a multiplicity n_beta >= 0 to each positive
 coroot so that sum n_beta * beta = theta.  Enumeration is a recursive descent
-over the canonical coroot order; counting is an independent dynamic program
-on the generating function  prod_beta 1 / (1 - x^beta)  truncated to the
-coordinate box of theta, so the two routes cross-check each other.
+that picks the next coroot used, in the canonical coroot order; counting is an
+independent dynamic program on the generating function  prod_beta 1 / (1 - x^beta)
+truncated to the coordinate box of theta, so the two routes cross-check each other.
 """
 
 from __future__ import annotations
@@ -45,25 +45,24 @@ class KostantPartition:
 
 def _enumerate(rs: RootSystem, theta: Coweight, max_multiplicity: int | None) -> list[KostantPartition]:
     coroots = rs.positive_coroots
-    rank = rs.rank
     out: list[KostantPartition] = []
     acc: list[tuple[int, int]] = []
 
     def descend(i: int, remaining: Coweight) -> None:
-        if all(x == 0 for x in remaining):
+        if not any(remaining):
             out.append(KostantPartition(parts=tuple(acc), weight=theta))
             return
-        if i == len(coroots):
-            return
-        beta = coroots[i]
-        cap = min(remaining[j] // beta[j] for j in range(rank) if beta[j])
-        if max_multiplicity is not None:
-            cap = min(cap, max_multiplicity)
-        descend(i + 1, remaining)
-        for n in range(1, cap + 1):
-            acc.append((i, n))
-            descend(i + 1, tuple(r - n * b for r, b in zip(remaining, beta)))
-            acc.pop()
+        # pick the next coroot used (depth <= height(theta)); picking the last
+        # one first keeps the list in ascending lex order of multiplicity vectors
+        for j in reversed(range(i, len(coroots))):
+            beta = coroots[j]
+            cap = min(r // b for r, b in zip(remaining, beta) if b)
+            if max_multiplicity is not None:
+                cap = min(cap, max_multiplicity)
+            for n in range(1, cap + 1):
+                acc.append((j, n))
+                descend(j + 1, tuple(r - n * b for r, b in zip(remaining, beta)))
+                acc.pop()
 
     descend(0, theta)
     return out

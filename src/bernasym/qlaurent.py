@@ -11,7 +11,11 @@ from typing import Iterable, Mapping
 
 
 class LaurentPoly:
-    """Integer Laurent polynomial in q, canonical (zero-free) sparse form."""
+    """Integer Laurent polynomial in q, canonical (zero-free) sparse form.
+
+    The constructor is the one place that makes the canonical form: it drops
+    zero coefficients and rejects an exponent or coefficient that is not an int.
+    """
 
     __slots__ = ("_terms",)
 
@@ -19,8 +23,10 @@ class LaurentPoly:
         self._terms: dict[int, int] = {}
         if terms:
             for e, c in terms.items():
+                if type(e) is not int or type(c) is not int:
+                    raise ValueError(f"term {c!r} q^{e!r} does not have an integer exponent and coefficient")
                 if c:
-                    self._terms[int(e)] = int(c)
+                    self._terms[e] = c
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -44,7 +50,7 @@ class LaurentPoly:
     def _coerce(x: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(x, LaurentPoly):
             return x
-        if isinstance(x, int):
+        if type(x) is int:
             return LaurentPoly.constant(x)
         return NotImplemented  # type: ignore[return-value]
 
@@ -54,11 +60,7 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
     __radd__ = __add__
@@ -83,11 +85,7 @@ class LaurentPoly:
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
     __rmul__ = __mul__
@@ -106,7 +104,7 @@ class LaurentPoly:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -121,19 +119,6 @@ class LaurentPoly:
     def eval_at_one(self) -> int:
         """Sum of all coefficients (the specialization q = 1)."""
         return sum(self._terms.values())
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms))
-
-    def min_exponent(self) -> int:
-        if not self._terms:
-            raise ValueError("the zero polynomial has no exponents")
-        return min(self._terms)
-
-    def max_exponent(self) -> int:
-        if not self._terms:
-            raise ValueError("the zero polynomial has no exponents")
-        return max(self._terms)
 
     # -- wire format -----------------------------------------------------
 
@@ -183,53 +168,15 @@ class GrothendieckClass:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        self._terms: dict[tuple[int, int], int] = {}
-        if terms:
-            for key, mult in terms.items():
-                if mult:
-                    shift, twist = key
-                    self._terms[(int(shift), int(twist))] = int(mult)
-
-    def __add__(self, other: "GrothendieckClass") -> "GrothendieckClass":
-        if not isinstance(other, GrothendieckClass):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, mult in other._terms.items():
-            s = out.get(key, 0) + mult
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return GrothendieckClass(out)
+    def __init__(self, terms: Mapping[tuple[int, int], int]):
+        for (shift, twist), mult in terms.items():
+            if type(shift) is not int or type(twist) is not int or type(mult) is not int:
+                raise ValueError(f"token [{shift!r}]({twist!r}) x {mult!r} is not made of integers")
+        self._terms = dict(terms)
 
     def trace(self) -> LaurentPoly:
         """Frobenius trace: each [n](m) contributes (-1)^n q^(-m) times its multiplicity."""
         out: dict[int, int] = {}
         for (shift, twist), mult in self._terms.items():
-            sign = -1 if shift % 2 else 1
-            e = -twist
-            s = out.get(e, 0) + sign * mult
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+            out[-twist] = out.get(-twist, 0) + (-mult if shift % 2 else mult)
         return LaurentPoly(out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GrothendieckClass):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def to_pairs(self) -> list[list[int]]:
-        """JSON form: [shift, twist, multiplicity] triples sorted by (shift, twist)."""
-        return [[n, m, self._terms[(n, m)]] for n, m in sorted(self._terms)]
-
-    def __repr__(self) -> str:
-        return f"GrothendieckClass({self._terms!r})"

@@ -35,14 +35,6 @@ class ParabolicStratum:
     levi_vertices: tuple[int, ...]
     canonical_point: tuple[int, ...]
 
-    @property
-    def is_group(self) -> bool:
-        return all(c == 1 for c in self.canonical_point)
-
-    @property
-    def is_borel(self) -> bool:
-        return all(c == 0 for c in self.canonical_point)
-
 
 def enumerate_parabolic_strata(rs: RootSystem) -> list[ParabolicStratum]:
     """All 2^r strata, sorted by (number of Levi vertices, lex)."""
@@ -102,12 +94,6 @@ def codim_defect(rs: RootSystem, theta: Sequence[int]) -> int:
     """Codimension of the stratum of defect theta: twice the height."""
     theta = rs.check_positive_coweight(theta)
     return 2 * height(theta)
-
-
-def pair_form_description(theta: Sequence[int]) -> str:
-    """Symbolic global pair form for a fixed defect: (lam2 - theta, lam2), lam2 free."""
-    theta = tuple(int(x) for x in theta)
-    return f"(lam2 - {theta}, lam2) for lam2 ranging over the coweight quotient"
 
 
 @dataclass(frozen=True)

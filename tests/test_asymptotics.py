@@ -118,6 +118,19 @@ class TestSeries:
         for theta in coweights_up_to_height(2, 3):
             assert short.coefficient(theta) == tall.coefficient(theta)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: MonoidSeries(2, {(1.5,): ONE}),
+            lambda: MonoidSeries(2, {(True,): ONE}),
+            lambda: MonoidSeries(2, {(1,): ONE}).coefficient((1.7,)),
+        ],
+        ids=["fractional-key", "boolean-key", "coefficient"],
+    )
+    def test_non_integer_key_rejected(self, make):
+        with pytest.raises(ValueError, match="not an integer"):
+            make()
+
     def test_series_validation(self):
         with pytest.raises(ValueError):
             MonoidSeries(2, {(3,): ONE})  # height above bound
@@ -174,6 +187,27 @@ class TestGrothendieckOracle:
     def test_zero(self):
         assert trace_grothendieck_oracle(root_system("A", 2), (0, 0)) == ONE
 
+    def test_largest_rank(self):
+        # A64 has 2080 coroots; the searches recurse once per coroot used, not once per coroot
+        rs = root_system("A", 64)
+        theta = (1,) + (0,) * 63
+        assert trace_kostant_sum(rs, theta) == ONE_MINUS_Q
+        assert trace_grothendieck_oracle(rs, theta) == ONE_MINUS_Q
+
+    def test_shares_no_enumerator_with_kostant_sum(self, monkeypatch):
+        import bernasym.asymptotics as mod
+
+        def drop_last(rs, theta):
+            parts = enumerate_partitions(rs, theta)
+            return parts[:-1] if len(parts) >= 2 else parts
+
+        monkeypatch.setattr(mod, "enumerate_partitions", drop_last)
+        with pytest.raises(VerificationError) as excinfo:
+            build_asymp_table(root_system("A", 2), 3)
+        err = excinfo.value
+        assert err.theta == (1, 1)
+        assert err.values["oracle"] == err.values["series"] != err.values["kostant"]
+
 
 class TestOracleTriangle:
     @pytest.mark.parametrize("series,rank,bound", [("A", 2, 4), ("B", 2, 4), ("G", 2, 4)])
@@ -202,8 +236,9 @@ class TestOracleTriangle:
             poly = trace_kostant_sum(rs, theta)
             rho = height(theta)
             max_size = max(k.size for k in enumerate_partitions(rs, theta))
-            assert poly.max_exponent() <= rho
-            assert poly.min_exponent() >= rho - max_size
+            exponents = [e for e, _ in poly.to_pairs()]
+            assert exponents[-1] <= rho
+            assert exponents[0] >= rho - max_size
 
 
 class TestDivisors:
@@ -220,9 +255,10 @@ class TestDivisors:
         d = parse_divisor("x:1,1", 2)
         assert divisor_trace(rs, d) == trace_kostant_sum(rs, (1, 1))
 
-    def test_total_weight(self):
-        d = parse_divisor("x:1,0;y:2,1", 2)
-        assert d.total_weight == (3, 1)
+    @pytest.mark.parametrize("theta", [(1.5, 0), (1, 0.0), (True, 0)], ids=["fractional", "float", "boolean"])
+    def test_non_integer_part_rejected(self, theta):
+        with pytest.raises(ValueError, match="not an integer"):
+            ColoredDivisor(points=(("x", theta),))
 
     def test_invalid_divisors(self):
         with pytest.raises(ValueError):
@@ -316,6 +352,20 @@ class TestTable:
         obj = build_asymp_table(root_system("A", 2), 3, verify=False).to_json_obj()
         obj["entries"].append({"theta": theta, "trace": [[0, 1]]})
         with pytest.raises(ValueError, match=match):
+            asymp_table_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("height", 2.9), ("height", True), ("genus", 1.7), ("genus", "1")],
+        ids=["fractional-height", "boolean-height", "fractional-genus", "string-genus"],
+    )
+    def test_json_rejects_non_integer_field(self, field, value):
+        obj = build_asymp_table(root_system("A", 2), 3, verify=False, genus=1).to_json_obj()
+        if field == "height":
+            obj["height"] = value
+        else:
+            obj["metadata"]["genus"] = value
+        with pytest.raises(ValueError, match="must be integers"):
             asymp_table_from_json(obj)
 
     def test_metadata(self):

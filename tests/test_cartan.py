@@ -26,7 +26,6 @@ from bernasym.cartan import (
     levi_subsystem,
     pair_weight_with_coroot,
     parse_spec_text,
-    project_to_quotient,
     rho_in_root_coords,
     root_system,
     root_system_from_json,
@@ -229,21 +228,20 @@ class TestQuotient:
         with pytest.raises(ValueError):
             leq(rs, ParabolicType((0,)), (1, 1), (1, 1))
 
+    @pytest.mark.parametrize("vertices", [(1.5,), (0, 1.0), (True,)], ids=["fractional", "float", "boolean"])
+    def test_non_integer_levi_vertex_rejected(self, vertices):
+        with pytest.raises(ValueError, match="not an integer"):
+            ParabolicType(vertices)
+
     def test_non_integer_quotient_coweight_rejected(self):
         rs = root_system("A", 2)
         with pytest.raises(ValueError, match="not an integer"):
             check_quotient_coweight(rs, ParabolicType((0,)), (1.5,))
 
-    def test_projection(self):
-        rs = root_system("A", 2)
-        assert project_to_quotient(rs, ParabolicType((0,)), (3, 2)) == (2,)
-        assert project_to_quotient(rs, ParabolicType.borel(), (3, 2)) == (3, 2)
-        assert project_to_quotient(rs, ParabolicType.full(rs), (3, 2)) == ()
-
     def test_bad_vertex_rejected(self):
         rs = root_system("A", 2)
         with pytest.raises(ValueError):
-            project_to_quotient(rs, ParabolicType((5,)), (0, 0))
+            leq(rs, ParabolicType((5,)), (0,), (0,))
 
 
 class TestLevi:
@@ -270,7 +268,7 @@ class TestLevi:
         # the full Levi reproduces the coroots supported on the chosen vertices,
         # height for height
         rs = root_system(series, rank)
-        full = levi_subsystem(rs, ParabolicType.full(rs))
+        full = levi_subsystem(rs, ParabolicType(tuple(range(rank))))
         assert set(full.positive_coroots) == set(rs.positive_coroots)
         for verts in itertools.combinations(range(rank), 2):
             levi = levi_subsystem(rs, ParabolicType(verts))

@@ -40,6 +40,14 @@ class TestTable:
         assert code == EXIT_OK
         assert json.loads(out)["root_system"]["name"] == "G2"
 
+    def test_rank_45_table(self, capsys):
+        # 1035 coroots: the partition search used to recurse once per coroot and overflow the stack
+        code, out, _ = run(capsys, "--type", "A", "--rank", "45", "--height", "1", "--no-verify", "table")
+        assert code == EXIT_OK
+        entries = json.loads(out)["entries"]
+        assert len(entries) == 46
+        assert all(record["trace"] == [[0, 1], [1, -1]] for record in entries[1:])
+
     def test_determinism_byte_identical(self, capsys):
         argv = ("--type", "B", "--rank", "2", "--height", "3", "table")
         _, first, _ = run(capsys, *argv)

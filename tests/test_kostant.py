@@ -77,6 +77,26 @@ class TestEnumeration:
         rs = root_system("B", 2)
         assert enumerate_partitions(rs, (2, 2)) == enumerate_partitions(rs, (2, 2))
 
+    def test_order_pinned(self):
+        # ascending lex order of the multiplicity vectors over the coroots (0,1), (1,0), (1,1)
+        rs = root_system("A", 2)
+        assert rs.positive_coroots == ((0, 1), (1, 0), (1, 1))
+        assert [k.parts for k in enumerate_partitions(rs, (2, 2))] == [
+            ((2, 2),),
+            ((0, 1), (1, 1), (2, 1)),
+            ((0, 2), (1, 2)),
+        ]
+        for series, rank in SWEEP + [("D", 4), ("B", 3)]:
+            rs = root_system(series, rank)
+            for theta in coweights_up_to_height(rank, 4):
+                vectors = []
+                for k in enumerate_partitions(rs, theta):
+                    vector = [0] * len(rs.positive_coroots)
+                    for i, n in k.parts:
+                        vector[i] = n
+                    vectors.append(vector)
+                assert vectors == sorted(vectors)
+
     def test_negative_theta_rejected(self):
         rs = root_system("A", 2)
         with pytest.raises(ValueError):
@@ -97,6 +117,23 @@ class TestCounting:
         assert count_partitions(a2, (1, 1)) == 2
         assert count_partitions(a2, (2, 1)) == 2
         assert count_partitions(a2, (0, 0)) == 1
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_a_n_highest_root(self, n):
+        # the highest root (1, ..., 1) of A_n splits into consecutive runs: 2^(n-1) ways, all simple
+        rs = root_system("A", n)
+        theta = (1,) * n
+        assert count_partitions(rs, theta) == 2 ** (n - 1)
+        assert len(enumerate_partitions(rs, theta)) == 2 ** (n - 1)
+        assert len(enumerate_simple_partitions(rs, theta)) == 2 ** (n - 1)
+
+    def test_a2_closed_form(self):
+        # a partition of (a, b) uses the long coroot k times, for each 0 <= k <= min(a, b)
+        rs = root_system("A", 2)
+        for a in range(9):
+            for b in range(9):
+                assert count_partitions(rs, (a, b)) == min(a, b) + 1
+                assert len(enumerate_partitions(rs, (a, b))) == min(a, b) + 1
 
     def test_count_matches_enumeration(self):
         # the DP generating-function counter against explicit enumeration
