@@ -21,13 +21,12 @@ Laurent polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cartan import (
     Coweight,
     RootSystem,
+    Value,
     check_integers,
     coweights_up_to_height,
     height,
@@ -193,23 +192,21 @@ def trace_grothendieck_oracle(rs: RootSystem, theta: Sequence[int]) -> LaurentPo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColoredDivisor:
+class ColoredDivisor(Value):
     """Formal sum of positive nonzero coweights at pairwise distinct points."""
 
-    points: tuple[tuple[str, Coweight], ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self) -> None:
-        normalized = tuple((str(label), check_integers(theta)) for label, theta in self.points)
-        labels = [label for label, _ in normalized]
-        if len(set(labels)) != len(labels):
+    def __init__(self, points: Sequence[tuple[str, Sequence[int]]]) -> None:
+        normalized = tuple((str(label), check_integers(theta)) for label, theta in points)
+        if len({label for label, _ in normalized}) != len(normalized):
             raise ValueError("divisor point labels must be pairwise distinct")
         for label, theta in normalized:
             if not is_positive(theta):
                 raise ValueError(f"divisor part at {label!r} is not positive: {theta}")
             if all(x == 0 for x in theta):
                 raise ValueError(f"divisor part at {label!r} is zero; drop the point instead")
-        object.__setattr__(self, "points", normalized)
+        super().__init__(normalized)
 
 
 def parse_divisor(text: str, rank: int) -> ColoredDivisor:
@@ -270,18 +267,20 @@ class VerificationError(Exception):
         return {"error": "identity-verification-failure", "theta": list(self.theta), **values}
 
 
-@dataclass
-class AsympTable:
+class AsympTable(Value):
     """Table theta -> normalized trace over the height-bounded positive coweights.
 
     The parabolic is the Borel throughout; the omitted normalization factor is
     described by ``normalization_exponent`` in the metadata.
     """
 
-    root_system: RootSystem
-    height_bound: int
-    entries: dict[Coweight, LaurentPoly] = field(default_factory=dict)
-    genus: int | None = None
+    __slots__ = ("root_system", "height_bound", "entries", "genus")
+    __setattr__ = object.__setattr__  # unlike the other values, a table is mutable, so unhashable
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, root_system: RootSystem, height_bound: int,
+                 entries: dict[Coweight, LaurentPoly] | None = None, genus: int | None = None) -> None:
+        super().__init__(root_system, height_bound, {} if entries is None else entries, genus)
 
     def metadata(self) -> dict:
         meta: dict = {
@@ -290,22 +289,19 @@ class AsympTable:
         }
         if self.genus is not None:
             meta["genus"] = self.genus
-            value = Fraction(-(self.genus - 1) * self.root_system.group_dimension, 2)
-            meta["normalization_exponent_value"] = str(value)
+            doubled = -(self.genus - 1) * self.root_system.group_dimension
+            meta["normalization_exponent_value"] = f"{doubled}/2" if doubled % 2 else str(doubled // 2)
         return meta
 
     def to_json_obj(self) -> dict:
-        obj = {
+        return {
             "root_system": root_system_to_json(self.root_system),
             "height": self.height_bound,
             "normalization_exponent": NORMALIZATION_EXPONENT,
             "metadata": self.metadata(),
-            "entries": [
-                {"theta": list(theta), "trace": poly.to_pairs()}
-                for theta, poly in self.entries.items()
-            ],
+            "entries": [{"theta": list(theta), "trace": poly.to_pairs()}
+                        for theta, poly in self.entries.items()],
         }
-        return obj
 
     def to_csv_text(self) -> str:
         import csv

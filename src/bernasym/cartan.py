@@ -21,8 +21,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 Coweight = tuple[int, ...]
@@ -67,7 +65,7 @@ def validate_cartan_matrix(matrix: Sequence[Sequence[int]]) -> None:
     Checks, in order: squareness and integrality, 2s on the diagonal,
     non-positive off-diagonal entries, the zero-symmetry a_ij = 0 <=> a_ji = 0,
     symmetrizability, and positive definiteness of the symmetrized matrix
-    (the exact finite-type criterion, evaluated in Fraction arithmetic).
+    (the exact finite-type criterion, evaluated in integer arithmetic).
     """
     n = len(matrix)
     if n == 0:
@@ -87,47 +85,48 @@ def validate_cartan_matrix(matrix: Sequence[Sequence[int]]) -> None:
             if (matrix[i][j] == 0) != (matrix[j][i] == 0):
                 raise ValueError(f"Cartan matrix entries ({i},{j}) and ({j},{i}) violate zero symmetry")
 
-    d = _symmetrizer(matrix)
-    sym = [[d[i] * matrix[i][j] for j in range(n)] for i in range(n)]
-    if not _is_positive_definite(sym):
+    _check_symmetrizable(matrix)
+    if not _leading_minors_positive(matrix):
         raise ValueError("Cartan matrix is not of finite type (symmetrization is not positive definite)")
 
 
-def _symmetrizer(matrix: Sequence[Sequence[int]]) -> list[Fraction]:
-    """Positive d_i with d_i a_ij = d_j a_ji, or a ValueError if none exist."""
+def _check_symmetrizable(matrix: Sequence[Sequence[int]]) -> None:
+    """Raise a ValueError unless positive d_i with d_i a_ij = d_j a_ji exist; d_i is kept as (num, den)."""
     n = len(matrix)
-    d: list[Fraction | None] = [None] * n
+    d: dict[int, tuple[int, int]] = {}
     for start in range(n):
-        if d[start] is not None:
+        if start in d:
             continue
-        d[start] = Fraction(1)
+        d[start] = (1, 1)
         queue = [start]
         while queue:
             i = queue.pop()
             for j in range(n):
-                if i == j or matrix[i][j] == 0:
-                    continue
-                required = d[i] * Fraction(matrix[i][j], matrix[j][i])
-                if d[j] is None:
-                    d[j] = required
-                    queue.append(j)
-                elif d[j] != required:
-                    raise ValueError("Cartan matrix is not symmetrizable")
-    return [x if x is not None else Fraction(1) for x in d]
+                if i != j and matrix[i][j]:
+                    num, den = -d[i][0] * matrix[i][j], -d[i][1] * matrix[j][i]  # d_i a_ij / a_ji > 0
+                    if j not in d:
+                        d[j] = (num, den)
+                        queue.append(j)
+                    elif d[j][0] * den != num * d[j][1]:
+                        raise ValueError("Cartan matrix is not symmetrizable")
 
 
-def _is_positive_definite(sym: list[list[Fraction]]) -> bool:
-    """Sylvester's criterion with exact Fraction Gaussian elimination."""
-    n = len(sym)
-    m = [row[:] for row in sym]
+def _leading_minors_positive(matrix: Sequence[Sequence[int]]) -> bool:
+    """Every leading principal minor A_k is positive (Bareiss fraction-free elimination).
+
+    With a positive symmetrizer D, det((DA)_k) = d_1...d_k det(A_k): this is Sylvester's criterion for DA.
+    """
+    n = len(matrix)
+    m = [list(row) for row in matrix]
+    prev = 1
     for k in range(n):
-        pivot = m[k][k]
+        pivot = m[k][k]  # the leading principal minor of order k + 1
         if pivot <= 0:
             return False
         for i in range(k + 1, n):
-            factor = m[i][k] / pivot
-            for j in range(k, n):
-                m[i][j] -= factor * m[k][j]
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
     return True
 
 
@@ -205,27 +204,55 @@ CLOSED_FORM_COUNTS = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootSystemSpec:
+class Value:
+    """Immutable value: its fields are its ``__slots__``, set in slot order by ``Value.__init__``.
+
+    ``__reduce__`` gives (class, fields): equality and hash compare it, copy and pickle rebuild from it.
+    The repr is ``Name(field=value, ...)``; assigning a field raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return self.__reduce__() == other.__reduce__() if isinstance(other, Value) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+
+class RootSystemSpec(Value):
     """Input description of a root system: named series or explicit matrix."""
 
-    series: str | None = None
-    rank: int | None = None
-    cartan: CartanMatrix | None = None
-    label: str | None = None
+    __slots__ = ("series", "rank", "cartan", "label")
 
-    def __post_init__(self) -> None:
-        if self.cartan is not None:
-            if self.series is not None or self.rank is not None:
+    def __init__(self, series: str | None = None, rank: int | None = None,
+                 cartan: CartanMatrix | None = None, label: str | None = None) -> None:
+        if cartan is not None:
+            if series is not None or rank is not None:
                 raise ValueError("give either series/rank or an explicit Cartan matrix, not both")
-            validate_cartan_matrix(self.cartan)  # before any coercion, so 2.9 or true is rejected
-            object.__setattr__(self, "cartan", tuple(tuple(row) for row in self.cartan))
+            validate_cartan_matrix(cartan)  # before any coercion, so 2.9 or true is rejected
+            cartan = tuple(tuple(row) for row in cartan)
         else:
-            if self.series is None or self.rank is None:
+            if series is None or rank is None:
                 raise ValueError("a root-system spec needs a series and a rank, or a Cartan matrix")
-            series = self.series.upper()
-            series_cartan(series, self.rank)  # validates the pair
-            object.__setattr__(self, "series", series)
+            series = series.upper()
+            series_cartan(series, rank)  # validates the pair
+        super().__init__(series, rank, cartan, label)
 
     @property
     def name(self) -> str:
@@ -236,8 +263,7 @@ class RootSystemSpec:
         return "custom"
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Value):
     """Finite root datum: Cartan matrix plus the generated positive coroots.
 
     ``labels`` are the vertex names (0-based positions of the original index
@@ -245,10 +271,11 @@ class RootSystem:
     ``positive_coroots`` are sorted by (height, lexicographic coordinates).
     """
 
-    name: str
-    cartan: CartanMatrix
-    labels: tuple[int, ...]
-    positive_coroots: tuple[Coweight, ...]
+    __slots__ = ("name", "cartan", "labels", "positive_coroots")
+
+    def __init__(self, name: str, cartan: CartanMatrix, labels: tuple[int, ...],
+                 positive_coroots: tuple[Coweight, ...]) -> None:
+        super().__init__(name, cartan, labels, positive_coroots)
 
     @property
     def rank(self) -> int:
@@ -309,12 +336,7 @@ def _from_cartan(name: str, matrix: CartanMatrix, labels: tuple[int, ...]) -> Ro
     """The RootSystem of a validated matrix: its coroots are the positive roots of the transpose."""
     n = len(matrix)
     transpose = tuple(tuple(matrix[j][i] for j in range(n)) for i in range(n))
-    return RootSystem(
-        name=name,
-        cartan=matrix,
-        labels=labels,
-        positive_coroots=tuple(positive_roots_of(transpose)),
-    )
+    return RootSystem(name, matrix, labels, tuple(positive_roots_of(transpose)))
 
 
 def build_root_system(spec: RootSystemSpec) -> RootSystem:
@@ -329,35 +351,17 @@ def root_system(series: str, rank: int) -> RootSystem:
 
 
 # ---------------------------------------------------------------------------
-# Pairings and the partial order
+# Parabolics and the partial order
 # ---------------------------------------------------------------------------
 
 
-def rho_in_root_coords(rs: RootSystem) -> tuple[Fraction, ...]:
-    """rho = half the sum of the positive roots, in simple-root coordinates."""
-    roots = positive_roots_of(rs.cartan)
-    return tuple(Fraction(sum(b[i] for b in roots), 2) for i in range(rs.rank))
-
-
-def pair_weight_with_coroot(rs: RootSystem, weight: Sequence[Fraction], coroot: Sequence[int]) -> Fraction:
-    """Pair a weight (simple-root coordinates) with a coroot (simple-coroot coordinates)."""
-    n = rs.rank
-    total = Fraction(0)
-    for j in range(n):
-        if coroot[j]:
-            total += coroot[j] * sum(rs.cartan[j][i] * weight[i] for i in range(n))
-    return total
-
-
-@dataclass(frozen=True)
-class ParabolicType:
+class ParabolicType(Value):
     """A standard parabolic, encoded by its Levi vertices (0-based positions)."""
 
-    levi_vertices: tuple[int, ...] = ()
+    __slots__ = ("levi_vertices",)
 
-    def __post_init__(self) -> None:
-        verts = tuple(sorted(set(check_integers(self.levi_vertices, "Levi vertex list"))))
-        object.__setattr__(self, "levi_vertices", verts)
+    def __init__(self, levi_vertices: Sequence[int] = ()) -> None:
+        super().__init__(tuple(sorted(set(check_integers(levi_vertices, "Levi vertex list")))))
 
     @staticmethod
     def borel() -> "ParabolicType":

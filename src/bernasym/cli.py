@@ -247,6 +247,12 @@ def main(argv: list[str] | None = None) -> int:
             name = " ".join(filter(None, (args.command, args.kind)))
             raise UsageError(f"{name} supports --format {'|'.join(renderers)}")
         text = renderers[fmt]()
+        if args.out is not None:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write output file {args.out}: {exc}") from exc
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -256,9 +262,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.out is None:
         sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     if cache_file:
         try:
             count_cache_save(cache_file)

@@ -11,22 +11,22 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
 from typing import Sequence
 
-from .cartan import Coweight, RootSystem, _from_cartan, coordinate_box, validate_cartan_matrix
+from .cartan import Coweight, RootSystem, Value, _from_cartan, coordinate_box, validate_cartan_matrix
 
 
-@dataclass(frozen=True)
-class KostantPartition:
+class KostantPartition(Value):
     """Multiset of positive coroots, recorded as (coroot index, multiplicity >= 1) pairs.
 
     Indices refer to the owning root system's canonical coroot order and the
     pairs are sorted by index; ``weight`` caches the coweight the parts sum to.
     """
 
-    parts: tuple[tuple[int, int], ...]
-    weight: Coweight
+    __slots__ = ("parts", "weight")
+
+    def __init__(self, parts: tuple[tuple[int, int], ...], weight: Coweight) -> None:
+        super().__init__(parts, weight)
 
     @property
     def size(self) -> int:

@@ -9,13 +9,13 @@ poset with its covering relations and DOT rendering.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .cartan import (
     ParabolicType,
     QuotientCoweight,
     RootSystem,
+    Value,
     check_quotient_coweight,
     coordinate_box,
     coweights_up_to_height,
@@ -24,16 +24,17 @@ from .cartan import (
 )
 
 
-@dataclass(frozen=True)
-class ParabolicStratum:
+class ParabolicStratum(Value):
     """One coordinate stratum of the completed adjoint torus.
 
     ``canonical_point`` has a 1 on each Levi vertex and 0 elsewhere; the
     all-ones point is the group stratum, the all-zeros point the Borel one.
     """
 
-    levi_vertices: tuple[int, ...]
-    canonical_point: tuple[int, ...]
+    __slots__ = ("levi_vertices", "canonical_point")
+
+    def __init__(self, levi_vertices: tuple[int, ...], canonical_point: tuple[int, ...]) -> None:
+        super().__init__(levi_vertices, canonical_point)
 
 
 def enumerate_parabolic_strata(rs: RootSystem) -> list[ParabolicStratum]:
@@ -47,17 +48,18 @@ def enumerate_parabolic_strata(rs: RootSystem) -> list[ParabolicStratum]:
     return out
 
 
-@dataclass(frozen=True)
-class DefectStratumIndex:
+class DefectStratumIndex(Value):
     """Index of one local-model stratum: an ordered triple summing to the total.
 
     The middle entry is the defect of the stratum; the outer entries are the
     degrees absorbed by the two flanking defect-free factors.
     """
 
-    levi_vertices: tuple[int, ...]
-    total: QuotientCoweight
-    parts: tuple[QuotientCoweight, QuotientCoweight, QuotientCoweight]
+    __slots__ = ("levi_vertices", "total", "parts")
+
+    def __init__(self, levi_vertices: tuple[int, ...], total: QuotientCoweight,
+                 parts: tuple[QuotientCoweight, QuotientCoweight, QuotientCoweight]) -> None:
+        super().__init__(levi_vertices, total, parts)
 
     @property
     def defect(self) -> QuotientCoweight:
@@ -80,13 +82,7 @@ def enumerate_local_strata(
         rest = tuple(t - a for t, a in zip(theta, part1))
         for mid in coordinate_box(rest):
             part3 = tuple(r - m for r, m in zip(rest, mid))
-            out.append(
-                DefectStratumIndex(
-                    levi_vertices=p.levi_vertices,
-                    total=theta,
-                    parts=(part1, mid, part3),
-                )
-            )
+            out.append(DefectStratumIndex(p.levi_vertices, theta, (part1, mid, part3)))
     return out
 
 
@@ -96,13 +92,14 @@ def codim_defect(rs: RootSystem, theta: Sequence[int]) -> int:
     return 2 * height(theta)
 
 
-@dataclass(frozen=True)
-class DefectPoset:
+class DefectPoset(Value):
     """Coordinatewise order on the positive quotient coweights of bounded height."""
 
-    elements: tuple[QuotientCoweight, ...]
-    covers: tuple[tuple[QuotientCoweight, QuotientCoweight], ...]
-    bound: int
+    __slots__ = ("elements", "covers", "bound")
+
+    def __init__(self, elements: tuple[QuotientCoweight, ...],
+                 covers: tuple[tuple[QuotientCoweight, QuotientCoweight], ...], bound: int) -> None:
+        super().__init__(elements, covers, bound)
 
     def to_dot(self) -> str:
         """DOT digraph; nodes carry coordinates and codimension, edges are covers."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -376,6 +377,23 @@ class TestTable:
         assert meta["normalization_exponent_value"] == "-3/2"
         bare = build_asymp_table(root_system("A", 1), 1, verify=False)
         assert "normalization_exponent_value" not in bare.metadata()
+
+    @pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("G", 2), ("B", 3)])
+    @pytest.mark.parametrize("genus", [0, 1, 2, 3])
+    def test_normalization_value_is_fraction_text(self, series, rank, genus):
+        # the integer formatting must give exactly the text of the exact rational -(g-1)*dim/2
+        rs = root_system(series, rank)
+        table = AsympTable(rs, 0, genus=genus)
+        expected = str(Fraction(-(genus - 1) * rs.group_dimension, 2))
+        assert table.metadata()["normalization_exponent_value"] == expected
+
+    def test_table_is_mutable_and_unhashable(self):
+        table = build_asymp_table(root_system("A", 1), 1, verify=False)
+        table.genus = 2
+        assert table.metadata()["normalization_exponent_value"] == "-3/2"
+        assert table == build_asymp_table(root_system("A", 1), 1, verify=False, genus=2)
+        with pytest.raises(TypeError):
+            hash(table)
 
     def test_csv_mirror(self):
         table = build_asymp_table(root_system("A", 1), 2, verify=False)

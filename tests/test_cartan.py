@@ -7,12 +7,15 @@ from the production reflection closure.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from bernasym.asymptotics import ColoredDivisor
 from bernasym.cartan import (
     CLOSED_FORM_COUNTS,
     ParabolicType,
@@ -24,14 +27,15 @@ from bernasym.cartan import (
     height,
     leq,
     levi_subsystem,
-    pair_weight_with_coroot,
     parse_spec_text,
-    rho_in_root_coords,
+    positive_roots_of,
     root_system,
     root_system_from_json,
     root_system_to_json,
     series_cartan,
+    validate_cartan_matrix,
 )
+from bernasym.kostant import KostantPartition
 
 
 def positive_roots_by_strings(cartan) -> set[tuple[int, ...]]:
@@ -158,6 +162,116 @@ class TestValidation:
             RootSystemSpec(series="A", rank=2, cartan=((2,),))
 
 
+def fraction_verdict(matrix) -> str:
+    """Reference finite-type check on a matrix with 2s on the diagonal and entries <= 0 off it.
+
+    Zero symmetry, then a symmetrizer d in Fraction arithmetic, then Sylvester's
+    criterion for DA by Fraction Gaussian elimination; the verdict names the
+    first check that fails, or is "finite".
+    """
+    n = len(matrix)
+    if any((matrix[i][j] == 0) != (matrix[j][i] == 0) for i in range(n) for j in range(n)):
+        return "zero symmetry"
+    d: list[Fraction | None] = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for j in range(n):
+                if i == j or matrix[i][j] == 0:
+                    continue
+                required = d[i] * Fraction(matrix[i][j], matrix[j][i])
+                if d[j] is None:
+                    d[j] = required
+                    queue.append(j)
+                elif d[j] != required:
+                    return "not symmetrizable"
+    m = [[d[i] * matrix[i][j] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if m[k][k] <= 0:
+            return "not of finite type"
+        for i in range(k + 1, n):
+            factor = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= factor * m[k][j]
+    return "finite"
+
+
+def integer_verdict(matrix) -> str:
+    """The production check's verdict in the reference's words."""
+    try:
+        validate_cartan_matrix(matrix)
+    except ValueError as exc:
+        for verdict in ("zero symmetry", "not symmetrizable", "not of finite type"):
+            if verdict in str(exc):
+                return verdict
+        raise
+    return "finite"
+
+
+def diagonal_two_matrices(n: int):
+    """Every n x n matrix with 2s on the diagonal and off-diagonal entries in {0, -1, -2, -3, -4}."""
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for values in itertools.product((0, -1, -2, -3, -4), repeat=len(off)):
+        m = [[2] * n for _ in range(n)]
+        for (i, j), a in zip(off, values):
+            m[i][j] = a
+        yield m
+
+
+class TestFiniteTypeCrossCheck:
+    """The integer check (Bareiss minors of A) against the Fraction reference (Sylvester on DA)."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_small_matrix_agrees(self, n):
+        verdicts = {}
+        for matrix in diagonal_two_matrices(n):
+            expected = fraction_verdict(matrix)
+            assert integer_verdict(matrix) == expected, matrix
+            verdicts[expected] = verdicts.get(expected, 0) + 1
+        # both sets are nonempty, so agreement is not vacuous
+        assert verdicts["finite"] and verdicts["not of finite type"]
+        if n == 3:
+            assert verdicts["not symmetrizable"]
+
+    @pytest.mark.parametrize("series,rank", [("E", 8), ("F", 4), ("D", 10), ("B", 10)])
+    def test_finite_series_accepted(self, series, rank):
+        matrix = series_cartan(series, rank)
+        assert fraction_verdict(matrix) == integer_verdict(matrix) == "finite"
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            ((2, -2), (-2, 2)),
+            ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),
+            # two hyperbolic blocks: the determinant is positive, the second leading minor is not
+            ((2, -3, 0, 0), (-3, 2, 0, 0), (0, 0, 2, -3), (0, 0, -3, 2)),
+        ],
+        ids=["affine-A1", "affine-A2", "hyperbolic-pair"],
+    )
+    def test_infinite_type_rejected(self, matrix):
+        assert fraction_verdict(matrix) == integer_verdict(matrix) == "not of finite type"
+
+
+def rho_in_root_coords(rs: RootSystem) -> tuple[Fraction, ...]:
+    """rho = half the sum of the positive roots, in simple-root coordinates."""
+    roots = positive_roots_of(rs.cartan)
+    return tuple(Fraction(sum(b[i] for b in roots), 2) for i in range(rs.rank))
+
+
+def pair_weight_with_coroot(rs: RootSystem, weight, coroot) -> Fraction:
+    """Pair a weight (simple-root coordinates) with a coroot (simple-coroot coordinates)."""
+    n = rs.rank
+    total = Fraction(0)
+    for j in range(n):
+        if coroot[j]:
+            total += coroot[j] * sum(rs.cartan[j][i] * weight[i] for i in range(n))
+    return total
+
+
 def rho_pairing(rs: RootSystem, theta) -> Fraction:
     """<rho, theta> with rho computed as the half-sum of the positive roots."""
     return pair_weight_with_coroot(rs, rho_in_root_coords(rs), theta)
@@ -195,6 +309,64 @@ class TestRhoPairing:
         # and the pairing therefore equals the height on the coroot lattice
         for beta in rs.positive_coroots:
             assert pair_weight_with_coroot(rs, rho, beta) == height(beta)
+
+
+VALUE_MAKERS = {
+    "RootSystem": lambda: root_system("A", 2),
+    "KostantPartition": lambda: KostantPartition(parts=((0, 1), (2, 1)), weight=(1, 1)),
+    "ParabolicType": lambda: ParabolicType((2, 0)),
+    "ColoredDivisor": lambda: ColoredDivisor(points=(("x", (1, 0)),)),
+}
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("kind", VALUE_MAKERS)
+    def test_fields_are_read_only(self, kind):
+        value = VALUE_MAKERS[kind]()
+        for name in type(value).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    @pytest.mark.parametrize("kind", VALUE_MAKERS)
+    def test_equal_fields_equal_values(self, kind):
+        a, b = VALUE_MAKERS[kind](), VALUE_MAKERS[kind]()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_unequal_fields(self):
+        assert root_system("A", 2) != root_system("A", 3)
+        assert ParabolicType((0,)) != ParabolicType((1,))
+        assert KostantPartition(((0, 1),), (1, 0)) != KostantPartition(((0, 2),), (2, 0))
+
+    def test_same_fields_different_classes_unequal(self):
+        parabolic, divisor = ParabolicType(()), ColoredDivisor(points=())
+        assert parabolic.__reduce__()[1] == divisor.__reduce__()[1] == ((),)
+        assert parabolic != divisor and divisor != parabolic
+
+    @pytest.mark.parametrize("kind", VALUE_MAKERS)
+    def test_copy_and_pickle_round_trip(self, kind):
+        value = VALUE_MAKERS[kind]()
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert clone == value and type(clone) is type(value)
+
+    def test_not_equal_to_other_types(self):
+        assert ParabolicType((0,)) != ((0,),)
+        assert root_system("A", 1) != "A1"
+
+    def test_repr(self):
+        assert repr(ParabolicType((2, 0))) == "ParabolicType(levi_vertices=(0, 2))"
+        assert repr(root_system("A", 1)) == (
+            "RootSystem(name='A1', cartan=((2,),), labels=(0,), positive_coroots=((1,),))"
+        )
+        assert repr(RootSystemSpec(series="b", rank=2)) == (
+            "RootSystemSpec(series='B', rank=2, cartan=None, label=None)"
+        )
 
 
 class TestQuotient:

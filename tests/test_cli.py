@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,18 @@ class TestTable:
         assert code == EXIT_OK
         assert out == ""
         assert json.loads(target.read_text())["height"] == 2
+
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, kind):
+        target = tmp_path / "missing" / "table.json" if kind == "missing-directory" else tmp_path
+        code, out, err = run(
+            capsys, "--type", "A", "--rank", "1", "--height", "1", "--out", str(target), "table"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: cannot write output file {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "--type", "C", "--rank", "2", "--height", "3", "table")
@@ -498,3 +514,18 @@ class TestCountCacheEnv:
         code, out, _ = run(capsys, "--type", "A", "--rank", "1", "--height", "1", "table")
         assert code == EXIT_OK
         assert len(json.loads(out)["entries"]) == 2
+
+
+class TestStartup:
+    def test_import_loads_no_heavy_stdlib_modules(self):
+        # a fresh interpreter, so modules that earlier tests imported do not hide a new import
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys; before = set(sys.modules); import bernasym.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        added = set(result.stdout.split())
+        assert "bernasym.cli" in added
+        assert added.isdisjoint({"dataclasses", "fractions", "decimal", "inspect"})
