@@ -21,6 +21,7 @@ Laurent polynomial.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Mapping, Sequence
 
 from .cartan import (
@@ -162,19 +163,26 @@ def trace_grothendieck_oracle(rs: RootSystem, theta: Sequence[int]) -> LaurentPo
     K1 is a Kostant partition and K2 a simple one (each coroot at most once).
     Each pair contributes the class with shift 2|K1| + |K2| and twist |K1|,
     whose trace is (-1)^|K2| q^-|K1|; the result is again multiplied by
-    q^<rho,theta>.  The pairs are found by one search over the coroots: each
-    step picks the next coroot used, n >= 1 times in all, and puts either all
-    n copies in K1 or n - 1 in K1 and one in K2.
+    q^<rho,theta>.  The pairs are found by one search that branches only over
+    the non-simple coroots fitting in theta's box: each step picks the next
+    one used, n >= 1 times in all, and puts either all n copies in K1 or
+    n - 1 in K1 and one in K2.  The simple coroots (height 1: the unit
+    vectors) finish every node in closed form.  The remainder r is a sum of
+    them, and each simple coroot with r_i >= 1 puts either all r_i copies in
+    K1 or r_i - 1 in K1 and one in K2; so if r has s nonzero coordinates
+    summing to R, the node adds C(s, t) pairs with |K1| larger by R - t and
+    |K2| by t, for t = 0..s.
     """
     theta = rs.check_positive_coweight(theta)
-    coroots = rs.positive_coroots
+    coroots = [beta for beta in rs.positive_coroots
+               if height(beta) > 1 and all(b <= t for b, t in zip(beta, theta))]
     terms: dict[tuple[int, int], int] = {}
 
     def descend(i: int, remaining: Coweight, k1: int, k2: int) -> None:
-        if not any(remaining):
-            key = (2 * k1 + k2, k1)
-            terms[key] = terms.get(key, 0) + 1
-            return
+        s, size = len(remaining) - remaining.count(0), k1 + sum(remaining)
+        for t in range(s + 1):
+            key = (2 * (size - t) + k2 + t, size - t)
+            terms[key] = terms.get(key, 0) + comb(s, t)
         for j in range(i, len(coroots)):
             beta = coroots[j]
             cap = min(r // b for r, b in zip(remaining, beta) if b)

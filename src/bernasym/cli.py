@@ -226,6 +226,22 @@ def _cache_file() -> str | None:
     return os.path.join(cache_dir, CACHE_FILE_NAME)
 
 
+def _write_stdout(text: str) -> None:
+    """Write and flush ``text``; on failure, point stdout at the null device and re-raise.
+
+    A failed flush leaves the bytes buffered, and the interpreter's own flush
+    at exit would fail on them again (exit status 120).
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     commands = {"table": _cmd_table, "trace": _cmd_trace, "divisor": _cmd_divisor, "strata": _cmd_strata}
     try:
@@ -247,12 +263,15 @@ def main(argv: list[str] | None = None) -> int:
             name = " ".join(filter(None, (args.command, args.kind)))
             raise UsageError(f"{name} supports --format {'|'.join(renderers)}")
         text = renderers[fmt]()
-        if args.out is not None:
-            try:
+        try:
+            if args.out is None:
+                _write_stdout(text)
+            else:
                 with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(text)
-            except OSError as exc:
-                raise UsageError(f"cannot write output file {args.out}: {exc}") from exc
+        except OSError as exc:
+            where = "to stdout" if args.out is None else f"output file {args.out}"
+            raise UsageError(f"cannot write {where}: {exc}") from exc
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -260,8 +279,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(json.dumps(exc.report()) + "\n")
         return EXIT_VERIFY
 
-    if args.out is None:
-        sys.stdout.write(text)
     if cache_file:
         try:
             count_cache_save(cache_file)

@@ -22,7 +22,7 @@ from bernasym.asymptotics import (
     trace_grothendieck_oracle,
     trace_kostant_sum,
 )
-from bernasym.cartan import coweights_up_to_height, height, root_system
+from bernasym.cartan import RootSystemSpec, build_root_system, coweights_up_to_height, height, root_system
 from bernasym.kostant import (
     count_partitions,
     enumerate_partitions,
@@ -185,6 +185,14 @@ class TestGrothendieckOracle:
     def test_a1_double(self):
         assert trace_grothendieck_oracle(root_system("A", 1), (2,)) == ONE_MINUS_Q
 
+    @pytest.mark.parametrize("n", [17, 60])
+    def test_a1_large_multiplicity(self, n):
+        assert trace_grothendieck_oracle(root_system("A", 1), (n,)) == ONE_MINUS_Q
+
+    def test_b2_large_simple_multiplicities(self):
+        rs = root_system("B", 2)
+        assert trace_grothendieck_oracle(rs, (12, 12)) == trace_kostant_sum(rs, (12, 12))
+
     def test_zero(self):
         assert trace_grothendieck_oracle(root_system("A", 2), (0, 0)) == ONE
 
@@ -209,11 +217,32 @@ class TestGrothendieckOracle:
         assert err.theta == (1, 1)
         assert err.values["oracle"] == err.values["series"] != err.values["kostant"]
 
+    def test_closed_form_completion_is_checked(self, monkeypatch):
+        import bernasym.asymptotics as mod
+
+        monkeypatch.setattr(mod, "comb", lambda n, k: 1)
+        with pytest.raises(VerificationError) as excinfo:
+            build_asymp_table(root_system("A", 2), 3)
+        err = excinfo.value
+        assert err.theta == (1, 1)
+        assert err.values["kostant"] == err.values["series"] != err.values["oracle"]
+
+
+# G2 on vertices 0 and 2, with an A1 on vertex 1: reducible, and not in series order
+G2_A1_CARTAN = ((2, 0, -1), (0, 2, 0), (-3, 0, 2))
+
 
 class TestOracleTriangle:
-    @pytest.mark.parametrize("series,rank,bound", [("A", 2, 4), ("B", 2, 4), ("G", 2, 4)])
+    @pytest.mark.parametrize(
+        "series,rank,bound",
+        [("A", 2, 4), ("B", 2, 4), ("G", 2, 4), ("C", 3, 4), ("D", 4, 4), ("F", 4, 4), ("E", 6, 3),
+         pytest.param(None, 3, 4, id="cartan-G2xA1")],
+    )
     def test_three_routes_agree(self, series, rank, bound):
-        rs = root_system(series, rank)
+        if series is None:
+            rs = build_root_system(RootSystemSpec(cartan=G2_A1_CARTAN))
+        else:
+            rs = root_system(series, rank)
         gk = gk_product_series(rs, bound)
         for theta in coweights_up_to_height(rank, bound):
             a = trace_kostant_sum(rs, theta)

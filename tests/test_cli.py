@@ -94,6 +94,19 @@ class TestTable:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_unwritable_stdout_is_usage_error(self, unbuffered):
+        # buffered, the small table fails only on flush; unbuffered, on write
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
+        argv = [sys.executable, "-m", "bernasym.cli", "--type", "A", "--rank", "2", "--height", "1", "table"]
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert result.returncode == EXIT_USAGE
+        assert result.stderr.startswith("error: cannot write to stdout: ")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "--type", "C", "--rank", "2", "--height", "3", "table")
         assert code == EXIT_OK

@@ -38,7 +38,7 @@ def test_wire_round_trip(p):
     assert LaurentPoly.from_pairs(p.to_pairs()) == p
 
 
-SYSTEMS = {name: root_system(name[0], int(name[1:])) for name in ("A3", "B3", "G2")}
+SYSTEMS = {name: root_system(name[0], int(name[1:])) for name in ("A3", "B3", "C3", "D4", "G2")}
 SERIES = {name: gk_product_series(rs, 6) for name, rs in SYSTEMS.items()}
 
 
