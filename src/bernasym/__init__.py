@@ -33,7 +33,6 @@ from .cartan import (
     height,
     leq,
     levi_subsystem,
-    parse_spec_text,
     root_system,
     root_system_from_json,
     root_system_to_json,
@@ -93,7 +92,6 @@ __all__ = [
     "leq",
     "levi_subsystem",
     "parse_divisor",
-    "parse_spec_text",
     "partition_from_json",
     "partition_to_json",
     "root_system",

@@ -19,7 +19,6 @@ Conventions
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from typing import Iterable, Sequence
 
@@ -62,14 +61,15 @@ def check_integers(vector: Sequence[int], what: str = "coweight") -> tuple[int, 
 def validate_cartan_matrix(matrix: Sequence[Sequence[int]]) -> None:
     """Reject anything that is not a finite-type generalized Cartan matrix.
 
-    Checks, in order: squareness and integrality, 2s on the diagonal,
-    non-positive off-diagonal entries, the zero-symmetry a_ij = 0 <=> a_ji = 0,
-    symmetrizability, and positive definiteness of the symmetrized matrix
-    (the exact finite-type criterion, evaluated in integer arithmetic).
+    Checks, in order: a nonempty list of rows, squareness and integrality,
+    2s on the diagonal, non-positive off-diagonal entries, the zero-symmetry
+    a_ij = 0 <=> a_ji = 0, symmetrizability, and positive definiteness of the
+    symmetrized matrix (the exact finite-type criterion, evaluated in integer
+    arithmetic).
     """
+    if not isinstance(matrix, (list, tuple)) or not matrix:
+        raise ValueError(f"Cartan matrix is {matrix!r}, expected a nonempty list of rows")
     n = len(matrix)
-    if n == 0:
-        raise ValueError("Cartan matrix must be nonempty")
     for i, row in enumerate(matrix):
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise ValueError(f"Cartan matrix row {i} is {row!r}, expected a list of {n} entries")
@@ -479,28 +479,3 @@ def parse_key_values(text: str) -> dict[str, str]:
             fields[key] = value
     return fields
 
-
-def parse_spec_text(text: str) -> RootSystemSpec:
-    """Parse a plain-text spec: `type=A rank=3` (see :func:`parse_key_values`), or a JSON matrix.
-
-    The JSON form is row-major: either a list of rows or a flat list whose
-    length is a perfect square.
-    """
-    stripped = text.strip()
-    if stripped.startswith("["):
-        data = json.loads(stripped)
-        if data and all(isinstance(x, list) for x in data):
-            return RootSystemSpec(cartan=data)
-        n = int(len(data) ** 0.5)
-        if n * n != len(data):
-            raise ValueError(f"flat row-major matrix has length {len(data)}, not a perfect square")
-        return RootSystemSpec(cartan=[data[i * n : (i + 1) * n] for i in range(n)])
-
-    fields = parse_key_values(stripped)
-    if "type" not in fields or "rank" not in fields:
-        raise ValueError("spec text must provide type= and rank= (or a JSON Cartan matrix)")
-    return RootSystemSpec(
-        series=fields["type"],
-        rank=int(fields["rank"]),
-        label=fields.get("label"),
-    )

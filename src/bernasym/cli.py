@@ -27,7 +27,6 @@ from .cartan import (
     RootSystemSpec,
     build_root_system,
     parse_key_values,
-    parse_spec_text,
 )
 from .kostant import count_cache_load, count_cache_save
 from .strata import (
@@ -71,7 +70,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="bernasym", description=__doc__, add_help=True)
     parser.add_argument("--type", dest="series", help="series letter A..G")
     parser.add_argument("--rank", type=int, help="rank of the series")
-    parser.add_argument("--cartan", metavar="FILE", help="JSON file with a row-major Cartan matrix")
+    parser.add_argument("--cartan", metavar="FILE", help="JSON file with a Cartan matrix as a list of rows")
     parser.add_argument("--config", metavar="FILE", help="flat key=value config file")
     parser.add_argument("--height", type=int, help="height bound for tables, series, posets")
     parser.add_argument("--theta", type=int_list, help='coweight coordinates "n1,n2,..." (0-based vertices)')
@@ -90,6 +89,8 @@ def build_parser() -> _Parser:
 
 
 def _config_flag(key: str, value: str) -> str:
+    if "config".startswith(key):  # argparse reads --config (or a prefix of it), and argv's --config wins
+        raise UsageError(f"config field {key}={value}: a config file cannot name another config file")
     if key != "verify":
         return f"--{key}={value}"
     if value.lower() not in VERIFY_FLAGS:
@@ -101,7 +102,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv, reading each ``--config`` field ``key=value`` as the flag ``--key=value``.
 
     The fields go before argv, so flags on the command line override them.
-    ``label`` names a ``--type``/``--rank`` system and has no flag.
+    ``label`` names the root system, from ``--type``/``--rank`` or ``--cartan``, and has no flag.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -125,19 +126,16 @@ def _checked(fn, *args, **kwargs):
 
 
 def _root_system(args: argparse.Namespace) -> RootSystem:
+    matrix = None
     if args.cartan is not None:
-        if args.series is not None or args.rank is not None:
-            raise UsageError("give either --type/--rank or --cartan, not both")
         try:
             with open(args.cartan, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
+                matrix = json.load(fh)
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read Cartan matrix file {args.cartan}: {exc}") from exc
-        spec = _checked(parse_spec_text, text)
-    elif args.series is None or args.rank is None:
-        raise UsageError("a root system is required: --type and --rank, or --cartan FILE")
-    else:
-        spec = _checked(RootSystemSpec, series=args.series, rank=args.rank, label=args.label)
+        if matrix is None:
+            raise UsageError(f"Cartan matrix file {args.cartan} holds null, expected a list of rows")
+    spec = _checked(RootSystemSpec, series=args.series, rank=args.rank, cartan=matrix, label=args.label)
     return build_root_system(spec)
 
 
@@ -218,14 +216,6 @@ def _cmd_strata(args: argparse.Namespace, rs: RootSystem) -> dict:
     return {"dot": poset.to_dot, "json": lambda: _json_text(defect_poset_to_json(poset))}
 
 
-def _cache_file() -> str | None:
-    cache_dir = os.environ.get(CACHE_ENV_VAR)
-    if not cache_dir:
-        return None
-    os.makedirs(cache_dir, exist_ok=True)
-    return os.path.join(cache_dir, CACHE_FILE_NAME)
-
-
 def _write_stdout(text: str) -> None:
     """Write and flush ``text``; on failure, point stdout at the null device and re-raise.
 
@@ -251,12 +241,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command != "strata" and args.levi:
             raise UsageError("only strata commands accept --levi")
         rs = _root_system(args)
-        cache_file = _cache_file()
-        if cache_file and os.path.exists(cache_file):
+        cache_dir = os.environ.get(CACHE_ENV_VAR)
+        cache_file = os.path.join(cache_dir, CACHE_FILE_NAME) if cache_dir else None
+        if cache_file:
             try:
-                count_cache_load(cache_file)
+                os.makedirs(cache_dir, exist_ok=True)
+                if os.path.exists(cache_file):
+                    count_cache_load(cache_file)
             except (OSError, ValueError):
-                pass  # a stale cache must never break a run
+                pass  # an unusable cache directory or a stale cache must never break a run
         renderers = commands[args.command](args, rs)
         fmt = args.fmt or next(iter(renderers))
         if fmt not in renderers:

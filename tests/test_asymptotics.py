@@ -172,6 +172,20 @@ class TestSeries:
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
 
+    @pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
+    def test_inverse_identity(self, series, rank):
+        # (1 - q^-1 e^beta) / (1 - e^beta) = 1 + sum_{i>=1} (1 - q^-1) e^{i beta} inverts each factor
+        rs = root_system(series, rank)
+        one_minus_inverse_q = LaurentPoly({0: 1, -1: -1})
+        for h in range(6):
+            product = gk_product_series(rs, h)
+            for beta in rs.positive_coroots:
+                terms = {(0,) * rank: ONE}
+                for i in range(1, h // height(beta) + 1):
+                    terms[tuple(i * b for b in beta)] = one_minus_inverse_q
+                product = product * MonoidSeries(h, terms)
+            assert product == MonoidSeries.one(h, rank), (series, rank, h)
+
     def test_factor_truncation(self):
         # a coroot of height 3 gets floor(7/3) = 2 series terms plus the constant
         factor = geometric_factor((1, 2), 7)

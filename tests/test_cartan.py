@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -27,7 +28,7 @@ from bernasym.cartan import (
     height,
     leq,
     levi_subsystem,
-    parse_spec_text,
+    parse_key_values,
     positive_roots_of,
     root_system,
     root_system_from_json,
@@ -156,6 +157,14 @@ class TestValidation:
     def test_bad_series_rejected(self, series, rank):
         with pytest.raises(ValueError):
             RootSystemSpec(series=series, rank=rank)
+
+    @pytest.mark.parametrize("value", [5, None, "2 -1 -1 2", {0: (2,)}, [], ()], ids=repr)
+    def test_non_list_value_rejected(self, value):
+        with pytest.raises(ValueError, match="expected a nonempty list of rows"):
+            validate_cartan_matrix(value)
+        if value is not None:  # None is the absent matrix
+            with pytest.raises(ValueError, match="expected a nonempty list of rows"):
+                RootSystemSpec(cartan=value)
 
     def test_both_sources_rejected(self):
         with pytest.raises(ValueError):
@@ -494,31 +503,19 @@ class TestWireFormats:
             root_system_from_json(obj)
 
     def test_parse_key_value_text(self):
-        spec = parse_spec_text("type=A rank=3")
-        assert (spec.series, spec.rank) == ("A", 3)
-        spec = parse_spec_text("# comment\ntype=G\nrank=2\nlabel=my-g2\n")
-        assert (spec.series, spec.rank, spec.label) == ("G", 2, "my-g2")
-        spec = parse_spec_text("type = B\n  rank =2 label= b\n")
-        assert (spec.series, spec.rank, spec.label) == ("B", 2, "b")
+        assert parse_key_values("type=A rank=3") == {"type": "A", "rank": "3"}
+        fields = parse_key_values("# comment\ntype=G\nrank=2\nlabel=my-g2\n")
+        assert fields == {"type": "G", "rank": "2", "label": "my-g2"}
+        assert parse_key_values("type = B\n  rank =2 label= b\nrank=4\n") == {"type": "B", "rank": "4", "label": "b"}
 
     def test_parse_json_matrix(self):
-        spec = parse_spec_text("[[2, -1], [-1, 2]]")
-        assert spec.cartan == ((2, -1), (-1, 2))
-        spec = parse_spec_text("[2, -1, -1, 2]")
-        assert spec.cartan == ((2, -1), (-1, 2))
+        # the CLI reads a --cartan file with json.load and hands the value to RootSystemSpec as it is
+        assert RootSystemSpec(cartan=json.loads("[[2, -1], [-1, 2]]")).cartan == ((2, -1), (-1, 2))
+        for text in ("[2, -1, -1, 2]", "[[2, -1], [-1, 2.0]]", "[[2, -1], [-1, true]]", "4"):
+            with pytest.raises(ValueError):
+                RootSystemSpec(cartan=json.loads(text))
 
     def test_parse_failures(self):
-        with pytest.raises(ValueError):
-            parse_spec_text("rank=3")
-        with pytest.raises(ValueError):
-            parse_spec_text("[2, -1, -1]")
-        with pytest.raises(ValueError):
-            parse_spec_text("type A rank 3")
-        with pytest.raises(ValueError):
-            parse_spec_text("type=A rank=3 label=my g2")
-        with pytest.raises(ValueError):
-            parse_spec_text("type= rank=3")
-        with pytest.raises(ValueError, match="not an integer"):
-            parse_spec_text("[[2.9, -1.2], [-1, 2]]")
-        with pytest.raises(ValueError, match="not an integer"):
-            parse_spec_text("[2, -1, -1, true]")
+        for text in ("type A rank 3", "type=A rank=3 label=my g2", "type= rank=3", "=A"):
+            with pytest.raises(ValueError, match="expected key=value tokens"):
+                parse_key_values(text)

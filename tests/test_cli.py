@@ -356,7 +356,7 @@ class TestConfigAndSpec:
         assert out == ""
         assert err.startswith("error:") and "two" in err
 
-    @pytest.mark.parametrize("source", ["--config", "--cartan"])
+    @pytest.mark.parametrize("source", ["--config"])  # a --cartan file holds a JSON matrix only
     @pytest.mark.parametrize(
         "text,ok",
         [
@@ -379,8 +379,8 @@ class TestConfigAndSpec:
 
     @pytest.mark.parametrize(
         "text",
-        ["[[2.9, -1.2], [-1, 2]]", "[[2, -1], [-1, true]]", "[2, -1.0, -1, 2]"],
-        ids=["fractional", "boolean", "flat-float"],
+        ["[[2.9, -1.2], [-1, 2]]", "[[2, -1], [-1, true]]", "[[2, -1.0], [-1, 2]]"],
+        ids=["fractional", "boolean", "integral-float"],
     )
     def test_non_integer_cartan_entry_is_usage_error(self, capsys, tmp_path, text):
         matrix = tmp_path / "cartan.json"
@@ -396,6 +396,38 @@ class TestConfigAndSpec:
         assert code == EXIT_OK
         assert len(json.loads(out)["entries"]) == 3
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("type=A\nrank=2\n", "cannot read Cartan matrix file"),
+            ("[2, -1, -1, 2]", "Cartan matrix row 0 is 2, expected a list of 4 entries"),
+            ("5", "Cartan matrix is 5, expected a nonempty list of rows"),
+            ('{"cartan": [[2]]}', "expected a nonempty list of rows"),
+            ("[]", "Cartan matrix is [], expected a nonempty list of rows"),
+        ],
+        ids=["key-value", "flat-list", "number", "object", "empty-list"],
+    )
+    def test_cartan_file_holds_a_list_of_rows(self, capsys, tmp_path, text, message):
+        matrix = tmp_path / "cartan.json"
+        matrix.write_text(text)
+        code, out, err = run(capsys, "--cartan", str(matrix), "--height", "1", "table")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    def test_null_cartan_file_does_not_fall_back_to_type(self, capsys, tmp_path):
+        matrix = tmp_path / "cartan.json"
+        matrix.write_text("null")
+        code, out, err = run(capsys, "--type", "A", "--rank", "2", "--cartan", str(matrix), "--height", "1", "table")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: Cartan matrix file {matrix} holds null, expected a list of rows\n"
+
+    def test_type_and_cartan_together_rejected(self, capsys, tmp_path):
+        matrix = tmp_path / "cartan.json"
+        matrix.write_text("[[2, -1], [-1, 2]]")
+        code, out, err = run(capsys, "--type", "A", "--cartan", str(matrix), "--height", "1", "table")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: give either series/rank or an explicit Cartan matrix, not both\n"
+
     def test_invalid_cartan_file(self, capsys, tmp_path):
         matrix = tmp_path / "cartan.json"
         matrix.write_text("[[2, -2], [-2, 2]]")  # affine
@@ -404,8 +436,9 @@ class TestConfigAndSpec:
         assert "finite type" in err
 
     def test_missing_system_usage_error(self, capsys):
-        code, _, _ = run(capsys, "--height", "1", "table")
+        code, _, err = run(capsys, "--height", "1", "table")
         assert code == EXIT_USAGE
+        assert err == "error: a root-system spec needs a series and a rank, or a Cartan matrix\n"
 
     def test_unknown_series_usage_error(self, capsys):
         code, _, _ = run(capsys, "--type", "Z", "--rank", "2", "--height", "1", "table")
@@ -496,6 +529,27 @@ class TestConfigAsFlags:
         assert code == EXIT_OK
         assert json.loads(out)["root_system"]["name"] == "line"
 
+    def test_label_field_names_a_cartan_system(self, capsys, tmp_path):
+        matrix = tmp_path / "cartan.json"
+        matrix.write_text("[[2, -1], [-1, 2]]")
+        cfg = self.config(tmp_path, f"cartan={matrix} height=0 label=mine\n")
+        code, out, _ = run(capsys, "--config", cfg, "table")
+        assert code == EXIT_OK
+        assert json.loads(out)["root_system"]["name"] == "mine"
+        code, out, _ = run(capsys, "--config", self.config(tmp_path, "label=mine\n"),
+                           "--cartan", str(matrix), "--height", "0", "table")
+        assert code == EXIT_OK
+        assert json.loads(out)["root_system"]["name"] == "mine"
+
+    @pytest.mark.parametrize("key", ["config", "conf"])
+    def test_config_field_is_usage_error(self, capsys, tmp_path, key):
+        other = self.config(tmp_path, "type=B rank=2 height=1\n")
+        cfg = tmp_path / "outer.cfg"
+        cfg.write_text(f"type=A rank=1 height=1 {key}={other}\n")
+        code, out, err = run(capsys, "--config", str(cfg), "table")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: config field {key}={other}: a config file cannot name another config file\n"
+
 
 class TestCountCacheEnv:
     def test_cache_file_created_and_reused(self, capsys, tmp_path, monkeypatch):
@@ -515,6 +569,16 @@ class TestCountCacheEnv:
         (tmp_path / "kostant_counts.json").write_text("not json at all")
         code, _, _ = run(capsys, "--type", "A", "--rank", "1", "--height", "1", "table")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("where", ["file", "under-file"])
+    def test_unusable_cache_directory_ignored(self, capsys, tmp_path, monkeypatch, where):
+        argv = ("--type", "A", "--rank", "1", "--height", "1", "table")
+        code, expected, _ = run(capsys, *argv)
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("BERNASYM_CACHE_DIR", str(blocker if where == "file" else blocker / "cache"))
+        assert run(capsys, *argv) == (EXIT_OK, expected, "")
+        assert blocker.read_text() == ""
 
     @pytest.mark.parametrize(
         "records",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -134,6 +135,43 @@ class TestCounting:
             for b in range(9):
                 assert count_partitions(rs, (a, b)) == min(a, b) + 1
                 assert len(enumerate_partitions(rs, (a, b))) == min(a, b) + 1
+
+    @staticmethod
+    def check_rank2(series, coroots, formula):
+        rs = root_system(series, 2)
+        assert set(rs.positive_coroots) == set(coroots)  # the premise of the formula
+        for a in range(9):
+            for b in range(9):
+                assert count_partitions(rs, (a, b)) == formula(a, b), (series, a, b)
+                assert len(enumerate_partitions(rs, (a, b))) == formula(a, b), (series, a, b)
+
+    def test_b2_closed_form(self):
+        # n copies of the highest coroot (2, 1) leave (a - 2n, b - n) for the A2-like rest
+        # (1, 0), (0, 1), (1, 1), which has min + 1 partitions (test_a2_closed_form)
+        def p(a, b):
+            return sum(min(a - 2 * n, b - n) + 1 for n in range(min(a // 2, b) + 1))
+
+        self.check_rank2("B", [(1, 0), (0, 1), (1, 1), (2, 1)], p)
+
+    def test_c2_closed_form(self):
+        # the B2 formula with the coordinates swapped: the highest coroot is (1, 2)
+        def p(a, b):
+            return sum(min(a - n, b - 2 * n) + 1 for n in range(min(a, b // 2) + 1))
+
+        self.check_rank2("C", [(1, 0), (0, 1), (1, 1), (1, 2)], p)
+
+    def test_g2_closed_form(self):
+        # choose the multiplicities of the four non-simple coroots; the two simple ones finish
+        # the remainder in exactly one way when it is nonnegative
+        def p(a, b):
+            total = 0
+            for n1, n2, n3, n4 in itertools.product(range(min(a, b) + 1), repeat=4):
+                x = a - n1 - n2 - n3 - 2 * n4
+                y = b - n1 - 2 * n2 - 3 * n3 - 3 * n4
+                total += x >= 0 and y >= 0
+            return total
+
+        self.check_rank2("G", [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)], p)
 
     def test_count_matches_enumeration(self):
         # the DP generating-function counter against explicit enumeration
