@@ -35,7 +35,7 @@ from .cartan import (
     root_system_from_json,
     root_system_to_json,
 )
-from .kostant import count_partitions, enumerate_partitions
+from .kostant import KostantPartition, count_partitions, enumerate_partitions
 from .qlaurent import GrothendieckClass, LaurentPoly
 
 NORMALIZATION_EXPONENT = "-(g-1)*dim(G)/2"
@@ -132,7 +132,8 @@ def gk_product_series(rs: RootSystem, height_bound: int) -> MonoidSeries:
     """Product of the geometric factors over all positive coroots, truncated."""
     series = MonoidSeries.one(height_bound, rs.rank)
     for beta in rs.positive_coroots:
-        series = series * geometric_factor(beta, height_bound)
+        if height(beta) <= height_bound:  # above the bound a factor truncates to the unit series
+            series = series * geometric_factor(beta, height_bound)
     return series
 
 
@@ -150,9 +151,14 @@ def trace_from_series(series: MonoidSeries, rs: RootSystem, theta: Sequence[int]
 def trace_kostant_sum(rs: RootSystem, theta: Sequence[int]) -> LaurentPoly:
     """q^<rho,theta> * sum over Kostant partitions of (1-q)^|R_K| * q^-|K|."""
     theta = rs.check_positive_coweight(theta)
+    return _kostant_sum(theta, enumerate_partitions(rs, theta))
+
+
+def _kostant_sum(theta: Coweight, partitions: Sequence[KostantPartition]) -> LaurentPoly:
+    """The Kostant sum at theta over the given list of theta's partitions."""
     one_minus_q = LaurentPoly({0: 1, 1: -1})
     total = LaurentPoly.zero()
-    for part in enumerate_partitions(rs, theta):
+    for part in partitions:
         total = total + one_minus_q ** len(part.support) * LaurentPoly.q_power(-part.size)
     return LaurentPoly.q_power(height(theta)) * total
 
@@ -340,19 +346,20 @@ def build_asymp_table(
     With ``verify`` set, :meth:`VerificationError.check` makes two checks at
     every theta: the Kostant sum, the series route and the Grothendieck-class
     route give the same trace (``kostant``, ``series``, ``oracle``), and the
-    independent DP counter gives the number of enumerated Kostant partitions
-    (``dp_count``, ``enumerated``).  The first failure raises, naming theta
-    and the values it compared.
+    independent DP counter gives the number of Kostant partitions the sum ran
+    over (``dp_count``, ``enumerated``): theta's partitions are enumerated
+    once, for both.  The first failure raises, naming theta and the values it
+    compared.
     """
     series = gk_product_series(rs, height_bound) if verify else None
     entries: dict[Coweight, LaurentPoly] = {}
     for theta in coweights_up_to_height(rs.rank, height_bound):
-        value = trace_kostant_sum(rs, theta)
+        partitions = enumerate_partitions(rs, theta)
+        value = _kostant_sum(theta, partitions)
         if verify:
             VerificationError.check(theta, kostant=value, series=trace_from_series(series, rs, theta),
                                     oracle=trace_grothendieck_oracle(rs, theta))
-            VerificationError.check(theta, dp_count=count_partitions(rs, theta),
-                                    enumerated=len(enumerate_partitions(rs, theta)))
+            VerificationError.check(theta, dp_count=count_partitions(rs, theta), enumerated=len(partitions))
         entries[theta] = value
     return AsympTable(root_system=rs, height_bound=height_bound, entries=entries, genus=genus)
 

@@ -67,7 +67,7 @@ def int_list(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="bernasym", description=__doc__, add_help=True)
+    parser = _Parser(prog="bernasym", description=__doc__, add_help=True, allow_abbrev=False)
     parser.add_argument("--type", dest="series", help="series letter A..G")
     parser.add_argument("--rank", type=int, help="rank of the series")
     parser.add_argument("--cartan", metavar="FILE", help="JSON file with a Cartan matrix as a list of rows")
@@ -89,7 +89,7 @@ def build_parser() -> _Parser:
 
 
 def _config_flag(key: str, value: str) -> str:
-    if "config".startswith(key):  # argparse reads --config (or a prefix of it), and argv's --config wins
+    if key == "config":  # argparse would read it as --config, and argv's --config wins
         raise UsageError(f"config field {key}={value}: a config file cannot name another config file")
     if key != "verify":
         return f"--{key}={value}"

@@ -13,7 +13,7 @@ import json
 import threading
 from typing import Sequence
 
-from .cartan import Coweight, RootSystem, Value, _from_cartan, coordinate_box, validate_cartan_matrix
+from .cartan import Coweight, RootSystem, Value, _from_cartan, coordinate_box, height, validate_cartan_matrix
 
 
 class KostantPartition(Value):
@@ -44,7 +44,16 @@ class KostantPartition(Value):
 
 
 def _enumerate(rs: RootSystem, theta: Coweight, max_multiplicity: int | None) -> list[KostantPartition]:
-    coroots = rs.positive_coroots
+    # only the coroots in theta's box can be used; each keeps its canonical index.
+    # The coroots are sorted by height, so the scan stops at the first one taller
+    # than theta, before comparing coordinates.
+    bound = height(theta)
+    fitting: list[tuple[int, Coweight]] = []
+    for index, beta in enumerate(rs.positive_coroots):
+        if height(beta) > bound:
+            break
+        if all(b <= t for b, t in zip(beta, theta)):
+            fitting.append((index, beta))
     out: list[KostantPartition] = []
     acc: list[tuple[int, int]] = []
 
@@ -54,13 +63,13 @@ def _enumerate(rs: RootSystem, theta: Coweight, max_multiplicity: int | None) ->
             return
         # pick the next coroot used (depth <= height(theta)); picking the last
         # one first keeps the list in ascending lex order of multiplicity vectors
-        for j in reversed(range(i, len(coroots))):
-            beta = coroots[j]
+        for j in reversed(range(i, len(fitting))):
+            index, beta = fitting[j]
             cap = min(r // b for r, b in zip(remaining, beta) if b)
             if max_multiplicity is not None:
                 cap = min(cap, max_multiplicity)
             for n in range(1, cap + 1):
-                acc.append((j, n))
+                acc.append((index, n))
                 descend(j + 1, tuple(r - n * b for r, b in zip(remaining, beta)))
                 acc.pop()
 

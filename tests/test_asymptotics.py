@@ -111,6 +111,16 @@ class TestSeries:
         with pytest.raises(ValueError, match="rebuild"):
             trace_from_series(series, a1, (3,))
 
+    @pytest.mark.parametrize("series_name,rank,h", [("E", 6, 3), ("G", 2, 4)])
+    def test_coroots_above_the_bound_skipped_exactly(self, series_name, rank, h):
+        # the product skips the coroots above the bound; their truncated factors are the unit series
+        rs = root_system(series_name, rank)
+        assert any(height(beta) > h for beta in rs.positive_coroots)
+        product = MonoidSeries.one(h, rank)
+        for beta in rs.positive_coroots:
+            product = product * geometric_factor(beta, h)
+        assert gk_product_series(rs, h) == product
+
     def test_truncation_consistency(self):
         # a taller series agrees with a shorter one on all retained terms
         rs = root_system("A", 2)
@@ -230,6 +240,36 @@ class TestGrothendieckOracle:
         err = excinfo.value
         assert err.theta == (1, 1)
         assert err.values["oracle"] == err.values["series"] != err.values["kostant"]
+
+    @staticmethod
+    def duplicate_first(monkeypatch):
+        import bernasym.asymptotics as mod
+
+        def duplicated(rs, theta):
+            parts = enumerate_partitions(rs, theta)
+            return parts[:1] + parts
+
+        monkeypatch.setattr(mod, "enumerate_partitions", duplicated)
+        return mod
+
+    def test_duplicated_partition_fails_the_route_check(self, monkeypatch):
+        self.duplicate_first(monkeypatch)
+        with pytest.raises(VerificationError) as excinfo:
+            build_asymp_table(root_system("A", 2), 3)
+        err = excinfo.value
+        assert err.theta == (0, 0)
+        assert err.values["oracle"] == err.values["series"] == ONE != err.values["kostant"]
+
+    def test_duplicated_partition_fails_the_count_check(self, monkeypatch):
+        # with both routes agreeing with the corrupted Kostant sum, the DP counter still sees the duplicate
+        mod = self.duplicate_first(monkeypatch)
+        monkeypatch.setattr(mod, "trace_from_series", lambda series, rs, theta: mod.trace_kostant_sum(rs, theta))
+        monkeypatch.setattr(mod, "trace_grothendieck_oracle", mod.trace_kostant_sum)
+        with pytest.raises(VerificationError) as excinfo:
+            build_asymp_table(root_system("A", 2), 3)
+        err = excinfo.value
+        assert err.theta == (0, 0)
+        assert err.values == {"dp_count": 1, "enumerated": 2}
 
     def test_closed_form_completion_is_checked(self, monkeypatch):
         import bernasym.asymptotics as mod
@@ -365,6 +405,20 @@ class TestTable:
         table = build_asymp_table(root_system("A", 2), 3, verify=False)
         keys = list(table.entries)
         assert keys == sorted(keys, key=lambda v: (height(v), v))
+
+    def test_verified_table_enumerates_each_theta_once(self, monkeypatch):
+        # a host-independent work count: one enumeration per theta serves the sum and the count check
+        import bernasym.asymptotics as mod
+
+        calls = []
+
+        def counted(rs, theta):
+            calls.append(theta)
+            return enumerate_partitions(rs, theta)
+
+        monkeypatch.setattr(mod, "enumerate_partitions", counted)
+        table = build_asymp_table(root_system("A", 3), 9, verify=True)
+        assert len(calls) == len(set(calls)) == len(table.entries) == 220
 
     def test_verification_failure_reported(self, monkeypatch):
         import bernasym.asymptotics as mod

@@ -451,6 +451,18 @@ class TestConfigAndSpec:
         assert code == EXIT_USAGE
         assert "strata" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--ty", "A", "--ra", "1", "--hei", "1", "--no-ver", "table"),
+         ("--type", "A", "--rank", "1", "--height", "1", "--no-ver", "table"),
+         ("--type", "A", "--rank", "1", "--hei=1", "table")],
+        ids=["all-abbreviated", "no-ver", "hei="],
+    )
+    def test_abbreviated_flag_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_stray_kind_rejected(self, capsys):
         code, _, err = run(
             capsys, "--type", "A", "--rank", "1", "--height", "1", "table", "parabolic"
@@ -541,7 +553,7 @@ class TestConfigAsFlags:
         assert code == EXIT_OK
         assert json.loads(out)["root_system"]["name"] == "mine"
 
-    @pytest.mark.parametrize("key", ["config", "conf"])
+    @pytest.mark.parametrize("key", ["config"])
     def test_config_field_is_usage_error(self, capsys, tmp_path, key):
         other = self.config(tmp_path, "type=B rank=2 height=1\n")
         cfg = tmp_path / "outer.cfg"
@@ -549,6 +561,20 @@ class TestConfigAsFlags:
         code, out, err = run(capsys, "--config", str(cfg), "table")
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: config field {key}={other}: a config file cannot name another config file\n"
+
+    @pytest.mark.parametrize(
+        "fields,unrecognized",
+        [("typ=A ran=1 hei=1", "--typ=A --ran=1 --hei=1"),
+         ("type=A rank=1 height=1 verif=true", "--verif=true"),
+         ("type=A rank=1 height=1 conf=other.cfg", "--conf=other.cfg")],
+        ids=["typ-ran-hei", "verif", "conf"],
+    )
+    def test_abbreviated_key_is_usage_error(self, capsys, tmp_path, fields, unrecognized):
+        # a key must name a flag in full: argparse's prefix matching is off
+        cfg = self.config(tmp_path, fields + "\n")
+        code, out, err = run(capsys, "--config", cfg, "table")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: unrecognized arguments: {unrecognized}\n"
 
 
 class TestCountCacheEnv:

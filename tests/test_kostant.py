@@ -98,6 +98,17 @@ class TestEnumeration:
                     vectors.append(vector)
                 assert vectors == sorted(vectors)
 
+    def test_coroots_outside_the_box_keep_canonical_indices(self):
+        # A40 has 820 coroots; e_i + e_(i+1) fits only the two simple coroots and itself
+        rs = root_system("A", 40)
+        for i in range(39):
+            simple = [tuple(int(k == j) for k in range(40)) for j in (i, i + 1)]
+            theta = tuple(a + b for a, b in zip(*simple))
+            assert [partition_to_json(rs, k) for k in enumerate_partitions(rs, theta)] == [
+                [[list(theta), 1]],
+                [[list(simple[1]), 1], [list(simple[0]), 1]],
+            ]
+
     def test_negative_theta_rejected(self):
         rs = root_system("A", 2)
         with pytest.raises(ValueError):
