@@ -10,12 +10,10 @@ index combinatorics of the underlying stratifications.
 from .asymptotics import (
     AsympTable,
     ColoredDivisor,
-    MonoidSeries,
     VerificationError,
     asymp_table_from_json,
     build_asymp_table,
     divisor_trace,
-    geometric_factor,
     gk_product_series,
     parse_divisor,
     trace_from_series,
@@ -68,7 +66,6 @@ __all__ = [
     "GrothendieckClass",
     "KostantPartition",
     "LaurentPoly",
-    "MonoidSeries",
     "ParabolicStratum",
     "ParabolicType",
     "RootSystem",
@@ -86,7 +83,6 @@ __all__ = [
     "enumerate_parabolic_strata",
     "enumerate_partitions",
     "enumerate_simple_partitions",
-    "geometric_factor",
     "gk_product_series",
     "height",
     "leq",

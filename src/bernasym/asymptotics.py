@@ -8,8 +8,9 @@ agreement:
   ``q^<rho,theta> * sum over Kostant partitions K of (1-q)^|R_K| q^-|K|``.
 * ``trace_from_series``: the coefficient of theta in the Gindikin-Karpelevich
   product ``prod over positive coroots of (1 - e^beta)/(1 - q^-1 e^beta)``,
-  expanded as a truncated formal series over the positive-coweight monoid
-  and converted from the e-basis (``e^theta = q^<rho,theta> 1_theta``).
+  converted from the e-basis (``e^theta = q^<rho,theta> 1_theta``).  The
+  product is expanded over the positive coweights up to a height bound by
+  two in-place passes per coroot (``gk_product_series``).
 * ``trace_grothendieck_oracle``: the trace of the formal shift/twist class
   assembled over pairs (K1, K2) of a Kostant partition and a *simple*
   partition with K1 + K2 = theta, found by its own search over the coroots.
@@ -21,6 +22,7 @@ Laurent polynomial.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from math import comb
 from typing import Mapping, Sequence
 
@@ -29,6 +31,7 @@ from .cartan import (
     RootSystem,
     Value,
     check_integers,
+    compositions_of,
     coweights_up_to_height,
     height,
     is_positive,
@@ -41,103 +44,53 @@ from .qlaurent import GrothendieckClass, LaurentPoly
 NORMALIZATION_EXPONENT = "-(g-1)*dim(G)/2"
 
 
-class MonoidSeries:
-    """Truncated formal series over the positive-coweight monoid.
+class GKSeries(Value):
+    """The Gindikin-Karpelevich product truncated at ``height_bound``, as built by :func:`gk_product_series`.
 
-    Keys are positive coweights of height <= ``height_bound``; values are
-    Laurent polynomials in q.  Multiplication convolves keys and discards any
-    product key above the bound, so it is exactly associative and commutative
-    on the retained terms.
+    Keys are positive coweights of height <= ``height_bound``; a coweight
+    whose coefficient is zero is not kept.
     """
 
     __slots__ = ("height_bound", "_terms")
-
-    def __init__(self, height_bound: int, terms: Mapping[Coweight, LaurentPoly] | None = None):
-        if height_bound < 0:
-            raise ValueError("height bound must be >= 0")
-        self.height_bound = height_bound
-        self._terms: dict[Coweight, LaurentPoly] = {}
-        rank: int | None = None
-        if terms:
-            for key, poly in terms.items():
-                key = check_integers(key, "series key")
-                if rank is None:
-                    rank = len(key)
-                elif len(key) != rank:
-                    raise ValueError("series keys must all have the same length")
-                if not is_positive(key):
-                    raise ValueError(f"series key {key} is not positive")
-                if height(key) > height_bound:
-                    raise ValueError(f"series key {key} exceeds the height bound {height_bound}")
-                if poly:
-                    self._terms[key] = poly
-
-    @staticmethod
-    def one(height_bound: int, rank: int) -> "MonoidSeries":
-        return MonoidSeries(height_bound, {tuple(0 for _ in range(rank)): LaurentPoly.one()})
 
     def coefficient(self, theta: Sequence[int]) -> LaurentPoly:
         return self._terms.get(check_integers(theta), LaurentPoly.zero())
 
     def terms(self) -> list[tuple[Coweight, LaurentPoly]]:
-        return sorted(self._terms.items(), key=lambda kv: (height(kv[0]), kv[0]))
-
-    def __mul__(self, other: "MonoidSeries") -> "MonoidSeries":
-        if not isinstance(other, MonoidSeries):
-            return NotImplemented
-        if self.height_bound != other.height_bound:
-            raise ValueError("cannot multiply series with different height bounds")
-        # keys of one series share a length (the constructor checks it, products keep it): first keys suffice
-        if self._terms and other._terms:
-            k1 = next(iter(self._terms))
-            k2 = next(iter(other._terms))
-            if len(k1) != len(k2):
-                raise ValueError("cannot multiply series over monoids of different ranks")
-        bound = self.height_bound
-        out: dict[Coweight, LaurentPoly] = {}
-        for k1, p1 in self._terms.items():
-            h1 = height(k1)
-            for k2, p2 in other._terms.items():
-                if h1 + height(k2) > bound:
-                    continue
-                key = tuple(a + b for a, b in zip(k1, k2))
-                acc = out.get(key)
-                prod = p1 * p2
-                out[key] = prod if acc is None else acc + prod
-        product = MonoidSeries(bound)
-        product._terms = {key: poly for key, poly in out.items() if poly}
-        return product
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MonoidSeries):
-            return NotImplemented
-        return self.height_bound == other.height_bound and self._terms == other._terms
-
-    def __repr__(self) -> str:
-        return f"MonoidSeries(h={self.height_bound}, {len(self._terms)} terms)"
+        """The nonzero terms, sorted by (height, lex) of their keys."""
+        return list(self._terms.items())
 
 
-def geometric_factor(beta: Coweight, height_bound: int) -> MonoidSeries:
-    """One Gindikin-Karpelevich factor: 1 + sum_{i>=1} q^-i (1-q) e^{i*beta}, truncated."""
-    rank = len(beta)
-    terms: dict[Coweight, LaurentPoly] = {tuple(0 for _ in range(rank)): LaurentPoly.one()}
-    step = height(beta)
-    for i in range(1, height_bound // step + 1):
-        coeff = LaurentPoly({-i: 1, -i + 1: -1})  # q^-i (1 - q)
-        terms[tuple(i * b for b in beta)] = coeff
-    return MonoidSeries(height_bound, terms)
+def gk_product_series(rs: RootSystem, height_bound: int) -> GKSeries:
+    """prod over positive coroots of (1 - e^beta)/(1 - q^-1 e^beta), on the coweights of height <= bound.
 
-
-def gk_product_series(rs: RootSystem, height_bound: int) -> MonoidSeries:
-    """Product of the geometric factors over all positive coroots, truncated."""
-    series = MonoidSeries.one(height_bound, rs.rank)
+    From the unit series S, each coroot beta makes two in-place passes over
+    the coweights sorted by height: dividing by (1 - q^-1 e^beta) in
+    increasing height, S[v] += q^-1 S[v - beta], so S[v - beta] is already
+    divided; then multiplying by (1 - e^beta) in decreasing height,
+    S[v] -= S[v - beta], so S[v - beta] is not yet multiplied.
+    """
+    if height_bound < 0:
+        raise ValueError("height bound must be >= 0")
+    region = [v for h in range(height_bound + 1) for v in compositions_of(h, rs.rank)]
+    series = dict.fromkeys(region, LaurentPoly.zero())
+    series[region[0]] = LaurentPoly.one()
+    inverse_q = LaurentPoly.q_power(-1)
     for beta in rs.positive_coroots:
-        if height(beta) <= height_bound:  # above the bound a factor truncates to the unit series
-            series = series * geometric_factor(beta, height_bound)
-    return series
+        step = height(beta)
+        if step > height_bound:
+            break  # coroots are sorted by height; above the bound a factor truncates to the unit series
+        # (v, v - beta) for each v of the region with v - beta >= 0, by increasing height
+        pairs = [(tuple(x + b for x, b in zip(below, beta)), below)
+                 for below in takewhile(lambda below: height(below) + step <= height_bound, region)]
+        for v, below in pairs:
+            series[v] = series[v] + inverse_q * series[below]
+        for v, below in reversed(pairs):
+            series[v] = series[v] - series[below]
+    return GKSeries(height_bound, {v: poly for v, poly in series.items() if poly})
 
 
-def trace_from_series(series: MonoidSeries, rs: RootSystem, theta: Sequence[int]) -> LaurentPoly:
+def trace_from_series(series: GKSeries, rs: RootSystem, theta: Sequence[int]) -> LaurentPoly:
     """Convert the e-basis coefficient at theta to the 1-basis: multiply by q^<rho,theta>."""
     theta = rs.check_positive_coweight(theta)
     if height(theta) > series.height_bound:
@@ -180,7 +133,9 @@ def trace_grothendieck_oracle(rs: RootSystem, theta: Sequence[int]) -> LaurentPo
     |K2| by t, for t = 0..s.
     """
     theta = rs.check_positive_coweight(theta)
-    coroots = [beta for beta in rs.positive_coroots
+    # coroots are sorted by height, so none after the first one taller than theta fits in its box
+    bound = height(theta)
+    coroots = [beta for beta in takewhile(lambda beta: height(beta) <= bound, rs.positive_coroots)
                if height(beta) > 1 and all(b <= t for b, t in zip(beta, theta))]
     terms: dict[tuple[int, int], int] = {}
 
@@ -294,6 +249,8 @@ class AsympTable(Value):
 
     def __init__(self, root_system: RootSystem, height_bound: int,
                  entries: dict[Coweight, LaurentPoly] | None = None, genus: int | None = None) -> None:
+        if height_bound < 0 or (genus is not None and genus < 0):
+            raise ValueError(f"table height {height_bound} and genus {genus} must be >= 0")
         super().__init__(root_system, height_bound, {} if entries is None else entries, genus)
 
     def metadata(self) -> dict:
@@ -341,7 +298,7 @@ def build_asymp_table(
     verify: bool = True,
     genus: int | None = None,
 ) -> AsympTable:
-    """Tabulate the Kostant-sum trace for every positive theta of height <= bound (>= 0).
+    """Tabulate the Kostant-sum trace for every positive theta of height <= bound (>= 0; genus too).
 
     With ``verify`` set, :meth:`VerificationError.check` makes two checks at
     every theta: the Kostant sum, the series route and the Grothendieck-class
@@ -351,8 +308,8 @@ def build_asymp_table(
     once, for both.  The first failure raises, naming theta and the values it
     compared.
     """
+    table = AsympTable(root_system=rs, height_bound=height_bound, genus=genus)
     series = gk_product_series(rs, height_bound) if verify else None
-    entries: dict[Coweight, LaurentPoly] = {}
     for theta in coweights_up_to_height(rs.rank, height_bound):
         partitions = enumerate_partitions(rs, theta)
         value = _kostant_sum(theta, partitions)
@@ -360,8 +317,8 @@ def build_asymp_table(
             VerificationError.check(theta, kostant=value, series=trace_from_series(series, rs, theta),
                                     oracle=trace_grothendieck_oracle(rs, theta))
             VerificationError.check(theta, dp_count=count_partitions(rs, theta), enumerated=len(partitions))
-        entries[theta] = value
-    return AsympTable(root_system=rs, height_bound=height_bound, entries=entries, genus=genus)
+        table.entries[theta] = value
+    return table
 
 
 def asymp_table_from_json(obj: Mapping) -> AsympTable:
@@ -371,12 +328,12 @@ def asymp_table_from_json(obj: Mapping) -> AsympTable:
     genus = obj.get("metadata", {}).get("genus")
     if type(height_bound) is not int or not (genus is None or type(genus) is int):
         raise ValueError(f"table height {height_bound!r} and genus {genus!r} must be integers")
-    entries: dict[Coweight, LaurentPoly] = {}
+    table = AsympTable(root_system=rs, height_bound=height_bound, genus=genus)
     for record in obj["entries"]:
         theta = rs.check_positive_coweight(record["theta"])
         if height(theta) > height_bound:
             raise ValueError(f"table entry {theta} exceeds the height bound {height_bound}")
-        if theta in entries:
+        if theta in table.entries:
             raise ValueError(f"table entry {theta} appears twice")
-        entries[theta] = LaurentPoly.from_pairs(record["trace"])
-    return AsympTable(root_system=rs, height_bound=height_bound, entries=entries, genus=genus)
+        table.entries[theta] = LaurentPoly.from_pairs(record["trace"])
+    return table

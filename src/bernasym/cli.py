@@ -153,7 +153,7 @@ def _height(args: argparse.Namespace, what: str) -> int:
 
 
 def _cmd_table(args: argparse.Namespace, rs: RootSystem) -> dict:
-    table = build_asymp_table(rs, _height(args, "table"), verify=args.verify, genus=args.genus)
+    table = _checked(build_asymp_table, rs, _height(args, "table"), verify=args.verify, genus=args.genus)
     return {
         "json": lambda: _json_text(table.to_json_obj()),
         "csv": table.to_csv_text,

@@ -99,7 +99,7 @@ def count_partitions(rs: RootSystem, theta: Sequence[int]) -> int:
     """Value of the Kostant partition function at theta.
 
     Computed by unbounded-knapsack DP over the coordinate box of theta
-    (one pass per positive coroot), not by enumeration; results are cached
+    (one pass per positive coroot <= theta), not by enumeration; results are cached
     per (root system, theta).
     """
     theta = rs.check_positive_coweight(theta)
@@ -117,7 +117,12 @@ def _count_by_dp(rs: RootSystem, theta: Coweight) -> int:
     box = list(coordinate_box(theta))
     ways = dict.fromkeys(box, 0)
     ways[tuple(0 for _ in theta)] = 1
+    bound = height(theta)
     for beta in rs.positive_coroots:
+        if height(beta) > bound:
+            break  # coroots are sorted by height, so no later one fits in theta's box
+        if any(b > t for b, t in zip(beta, theta)):
+            continue  # beta is not <= theta: its pass would add nothing
         for v in box:  # lex order is a linear extension of the coordinatewise order
             prev = tuple(x - b for x, b in zip(v, beta))
             if all(x >= 0 for x in prev):

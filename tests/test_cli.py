@@ -123,6 +123,12 @@ class TestTable:
         meta = json.loads(out)["metadata"]
         assert meta["genus"] == 2 and meta["normalization_exponent_value"] == "-3/2"
 
+    def test_negative_genus_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "--type", "A", "--rank", "1", "--height", "1", "--genus", "-3", "table")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: table height 1 and genus -3 must be >= 0\n"
+
     def test_missing_height_is_usage_error(self, capsys):
         code, _, err = run(capsys, "--type", "A", "--rank", "1", "table")
         assert code == EXIT_USAGE

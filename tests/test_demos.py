@@ -26,3 +26,13 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, cwd=ROOT, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_star_import_binds_every_public_name():
+    # the README quickstart starts with `from bernasym import *`: every exported name must exist
+    import bernasym
+
+    namespace: dict = {}
+    exec("from bernasym import *", namespace)
+    assert set(bernasym.__all__) <= set(namespace)
+    assert not {"MonoidSeries", "geometric_factor"} & set(namespace)
