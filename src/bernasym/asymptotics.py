@@ -22,6 +22,7 @@ Laurent polynomial.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import takewhile
 from math import comb
 from typing import Mapping, Sequence
@@ -108,11 +109,16 @@ def trace_kostant_sum(rs: RootSystem, theta: Sequence[int]) -> LaurentPoly:
 
 
 def _kostant_sum(theta: Coweight, partitions: Sequence[KostantPartition]) -> LaurentPoly:
-    """The Kostant sum at theta over the given list of theta's partitions."""
+    """The Kostant sum at theta over the given list of theta's partitions.
+
+    A partition's term depends only on (|R_K|, |K|), so each distinct pair is
+    summed once, times the number of partitions that have it.
+    """
+    histogram = Counter((len(part.parts), part.size) for part in partitions)
     one_minus_q = LaurentPoly({0: 1, 1: -1})
     total = LaurentPoly.zero()
-    for part in partitions:
-        total = total + one_minus_q ** len(part.support) * LaurentPoly.q_power(-part.size)
+    for (support, size), count in histogram.items():
+        total = total + one_minus_q ** support * LaurentPoly.q_power(-size, count)
     return LaurentPoly.q_power(height(theta)) * total
 
 

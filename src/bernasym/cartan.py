@@ -268,13 +268,21 @@ class RootSystem(Value):
 
     ``labels`` are the vertex names (0-based positions of the original index
     set; Levi subsystems keep the labels of the vertices they came from).
-    ``positive_coroots`` are sorted by (height, lexicographic coordinates).
+    ``positive_coroots`` are strictly sorted by (height, lexicographic
+    coordinates), and their height-1 entries are exactly the ``rank`` unit
+    vectors (the simple coroots); every route's pruning relies on that order.
     """
 
     __slots__ = ("name", "cartan", "labels", "positive_coroots")
 
     def __init__(self, name: str, cartan: CartanMatrix, labels: tuple[int, ...],
                  positive_coroots: tuple[Coweight, ...]) -> None:
+        keys = [(height(beta), beta) for beta in positive_coroots]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError("positive_coroots are not strictly sorted by (height, lex)")
+        units = sorted(tuple(int(k == i) for k in range(len(cartan))) for i in range(len(cartan)))
+        if [beta for beta in positive_coroots if height(beta) == 1] != units:
+            raise ValueError(f"the height-1 positive_coroots are not the {len(cartan)} unit vectors")
         super().__init__(name, cartan, labels, positive_coroots)
 
     @property

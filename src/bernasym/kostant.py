@@ -1,10 +1,13 @@
 """Kostant partitions of positive coweights.
 
 A partition of theta assigns a multiplicity n_beta >= 0 to each positive
-coroot so that sum n_beta * beta = theta.  Enumeration is a recursive descent
-that picks the next coroot used, in the canonical coroot order; counting is an
-independent dynamic program on the generating function  prod_beta 1 / (1 - x^beta)
-truncated to the coordinate box of theta, so the two routes cross-check each other.
+coroot so that sum n_beta * beta = theta.  Enumeration is a recursive search
+over the non-simple coroots in theta's box, in the canonical coroot order;
+the simple coroots (height 1: the unit vectors) finish every node in closed
+form, since the remainder r is r_k copies of the k-th unit vector in exactly
+one way, so every node is one partition.  Counting is an independent dynamic
+program on the generating function  prod_beta 1 / (1 - x^beta)  truncated to
+the coordinate box of theta, so the two routes cross-check each other.
 """
 
 from __future__ import annotations
@@ -46,35 +49,46 @@ class KostantPartition(Value):
 def _enumerate(rs: RootSystem, theta: Coweight, max_multiplicity: int | None) -> list[KostantPartition]:
     # only the coroots in theta's box can be used; each keeps its canonical index.
     # The coroots are sorted by height, so the scan stops at the first one taller
-    # than theta, before comparing coordinates.
+    # than theta, before comparing coordinates, and the simple coroots (height 1:
+    # the unit vectors) come first.  They are not searched; they finish every node.
     bound = height(theta)
-    fitting: list[tuple[int, Coweight]] = []
+    indices: list[int] = []  # canonical index of each simple coroot, then of each searched one
+    simple: list[int] = []  # the coordinate where each simple coroot is 1
+    fitting: list[Coweight] = []
     for index, beta in enumerate(rs.positive_coroots):
-        if height(beta) > bound:
+        step = height(beta)
+        if step > bound:
             break
-        if all(b <= t for b, t in zip(beta, theta)):
-            fitting.append((index, beta))
-    out: list[KostantPartition] = []
-    acc: list[tuple[int, int]] = []
+        if step == 1:
+            simple.append(beta.index(1))
+        elif all(b <= t for b, t in zip(beta, theta)):
+            fitting.append(beta)
+        else:
+            continue
+        indices.append(index)
+    found: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = []
+    used = [0] * len(fitting)
 
     def descend(i: int, remaining: Coweight) -> None:
-        if not any(remaining):
-            out.append(KostantPartition(parts=tuple(acc), weight=theta))
-            return
-        # pick the next coroot used (depth <= height(theta)); picking the last
-        # one first keeps the list in ascending lex order of multiplicity vectors
-        for j in reversed(range(i, len(fitting))):
-            index, beta = fitting[j]
+        # the remainder is a sum of simple coroots in exactly one way: r_k copies of the k-th unit vector
+        if max_multiplicity is None or all(r <= max_multiplicity for r in remaining):
+            vector = tuple(remaining[k] for k in simple) + tuple(used)
+            found.append((vector, tuple((index, n) for index, n in zip(indices, vector) if n)))
+        # pick the next non-simple coroot used (depth <= height(theta) / 2)
+        for j in range(i, len(fitting)):
+            beta = fitting[j]
             cap = min(r // b for r, b in zip(remaining, beta) if b)
             if max_multiplicity is not None:
                 cap = min(cap, max_multiplicity)
             for n in range(1, cap + 1):
-                acc.append((index, n))
+                used[j] = n
                 descend(j + 1, tuple(r - n * b for r, b in zip(remaining, beta)))
-                acc.pop()
+            used[j] = 0
 
     descend(0, theta)
-    return out
+    # ascending lex order of the multiplicity vectors: coroots outside the box are 0 in every one
+    found.sort()
+    return [KostantPartition(parts=parts, weight=theta) for _, parts in found]
 
 
 def enumerate_partitions(rs: RootSystem, theta: Sequence[int]) -> list[KostantPartition]:

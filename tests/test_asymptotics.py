@@ -11,6 +11,7 @@ from bernasym.asymptotics import (
     AsympTable,
     ColoredDivisor,
     VerificationError,
+    _kostant_sum,
     asymp_table_from_json,
     build_asymp_table,
     divisor_trace,
@@ -22,6 +23,7 @@ from bernasym.asymptotics import (
 )
 from bernasym.cartan import RootSystemSpec, build_root_system, coweights_up_to_height, height, root_system
 from bernasym.kostant import (
+    KostantPartition,
     count_partitions,
     enumerate_partitions,
     enumerate_simple_partitions,
@@ -73,6 +75,18 @@ class TestKostantSum:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             trace_kostant_sum(root_system("A", 2), (1, -1))
+
+    @pytest.mark.parametrize("series,rank,bound", [("A", 3, 6), ("B", 3, 5), ("G", 2, 10)])
+    def test_histogram_equals_per_partition_sum(self, series, rank, bound):
+        # one term per partition, over the whole list and over every other partition of it
+        rs = root_system(series, rank)
+        for theta in coweights_up_to_height(rank, bound):
+            parts = enumerate_partitions(rs, theta)
+            for chosen in (parts, parts[::2]):
+                total = LaurentPoly.zero()
+                for part in chosen:
+                    total = total + ONE_MINUS_Q ** len(part.support) * LaurentPoly.q_power(height(theta) - part.size)
+                assert _kostant_sum(theta, chosen) == total, theta
 
 
 class TestSeries:
@@ -245,6 +259,24 @@ class TestGrothendieckOracle:
         err = excinfo.value
         assert err.theta == (0, 0)
         assert err.values == {"dp_count": 1, "enumerated": 2}
+
+    def test_changed_multiplicity_fails_the_route_check(self, monkeypatch):
+        # the same number of partitions with the same supports, one of them with |K| larger by 1
+        import bernasym.asymptotics as mod
+
+        def changed(rs, theta):
+            parts = enumerate_partitions(rs, theta)
+            if theta != (1, 1):
+                return parts
+            (index, n), *rest = parts[-1].parts
+            return parts[:-1] + [KostantPartition(((index, n + 1), *rest), theta)]
+
+        monkeypatch.setattr(mod, "enumerate_partitions", changed)
+        with pytest.raises(VerificationError) as excinfo:
+            build_asymp_table(root_system("A", 2), 3)
+        err = excinfo.value
+        assert err.theta == (1, 1)
+        assert err.values["oracle"] == err.values["series"] != err.values["kostant"]
 
     def test_closed_form_completion_is_checked(self, monkeypatch):
         import bernasym.asymptotics as mod

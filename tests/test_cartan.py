@@ -170,6 +170,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             RootSystemSpec(series="A", rank=2, cartan=((2,),))
 
+    @pytest.mark.parametrize(
+        "coroots,match",
+        [
+            (((1, 1), (0, 1), (1, 0)), "strictly sorted"),  # the A2 coroots, tallest first
+            (((0, 1), (1, 1), (1, 0)), "strictly sorted"),  # a simple coroot after a taller one
+            (((0, 1), (1, 0), (1, 0), (1, 1)), "strictly sorted"),  # a repeated coroot
+            (((0, 1), (1, 1)), "unit vectors"),  # a simple coroot missing
+            (((0, 1), (1, 0), (2, -1), (1, 1)), "unit vectors"),  # a third height-1 entry
+        ],
+        ids=["reversed", "simple-late", "repeated", "simple-missing", "extra-height-one"],
+    )
+    def test_malformed_coroots_rejected(self, coroots, match):
+        with pytest.raises(ValueError, match=match):
+            RootSystem("A2", series_cartan("A", 2), (0, 1), coroots)
+
+    @pytest.mark.parametrize("series,rank", SERIES_UNDER_TEST)
+    def test_generated_coroots_accepted(self, series, rank):
+        # the coroots that _from_cartan generates, those of every Levi subsystem, and a pickled copy
+        rs = root_system(series, rank)
+        assert pickle.loads(pickle.dumps(rs)) == rs
+        for size in range(1, rank + 1):
+            for verts in itertools.combinations(range(rank), size):
+                levi = levi_subsystem(rs, ParabolicType(verts))
+                assert pickle.loads(pickle.dumps(levi)) == levi
+
 
 def fraction_verdict(matrix) -> str:
     """Reference finite-type check on a matrix with 2s on the diagonal and entries <= 0 off it.

@@ -98,6 +98,22 @@ class TestEnumeration:
                     vectors.append(vector)
                 assert vectors == sorted(vectors)
 
+    @pytest.mark.parametrize("series,rank,bound", [("A", 3, 5), ("B", 3, 4), ("C", 3, 4), ("G", 2, 6)])
+    def test_against_every_multiplicity_vector(self, series, rank, bound):
+        # reference: every vector n with n_beta <= the most copies of beta that fit in theta and
+        # sum n_beta * beta = theta, in ascending lex order; the simple partitions are its 0/1 vectors
+        rs = root_system(series, rank)
+        for theta in coweights_up_to_height(rank, bound):
+            caps = [min(t // b for t, b in zip(theta, beta) if b) for beta in rs.positive_coroots]
+            vectors = [n for n in itertools.product(*(range(cap + 1) for cap in caps))
+                       if all(sum(m * beta[k] for m, beta in zip(n, rs.positive_coroots)) == theta[k]
+                              for k in range(rank))]
+            expected = [tuple((i, m) for i, m in enumerate(n) if m) for n in vectors]
+            assert [k.parts for k in enumerate_partitions(rs, theta)] == expected, theta
+            assert [k.parts for k in enumerate_simple_partitions(rs, theta)] == [
+                parts for parts, n in zip(expected, vectors) if max(n) <= 1
+            ], theta
+
     def test_coroots_outside_the_box_keep_canonical_indices(self):
         # A40 has 820 coroots; e_i + e_(i+1) fits only the two simple coroots and itself
         rs = root_system("A", 40)
