@@ -322,20 +322,21 @@ def positive_roots_of(matrix: CartanMatrix) -> list[tuple[int, ...]]:
     Finite type guarantees a fixpoint.
     """
     n = len(matrix)
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in matrix]  # at most four nonzero entries each
     simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
     roots: set[tuple[int, ...]] = set(simple)
     frontier = list(simple)
     while frontier:
         new: list[tuple[int, ...]] = []
         for beta in frontier:
-            for i in range(n):
-                pairing = sum(matrix[i][j] * beta[j] for j in range(n))
-                image = list(beta)
-                image[i] -= pairing
-                tup = tuple(image)
-                if tup not in roots and all(x >= 0 for x in tup):
-                    roots.add(tup)
-                    new.append(tup)
+            for i, row in enumerate(rows):
+                pairing = sum(a * beta[j] for j, a in row)
+                # the reflection changes only coordinate i; a zero pairing fixes beta
+                if pairing and beta[i] >= pairing:
+                    image = beta[:i] + (beta[i] - pairing,) + beta[i + 1:]
+                    if image not in roots:
+                        roots.add(image)
+                        new.append(image)
         frontier = new
     return sorted(roots, key=lambda b: (height(b), b))
 

@@ -7,16 +7,19 @@ the simple coroots (height 1: the unit vectors) finish every node in closed
 form, since the remainder r is r_k copies of the k-th unit vector in exactly
 one way, so every node is one partition.  Counting is an independent dynamic
 program on the generating function  prod_beta 1 / (1 - x^beta)  truncated to
-the coordinate box of theta, so the two routes cross-check each other.
+the coordinate box of theta, so the two routes cross-check each other.  The
+box is one flat list of integers indexed in mixed radix, so that v - beta
+sits at a fixed offset below v for every box point v >= beta.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from itertools import product
 from typing import Sequence
 
-from .cartan import Coweight, RootSystem, Value, _from_cartan, coordinate_box, height, validate_cartan_matrix
+from .cartan import Coweight, RootSystem, Value, _from_cartan, height, validate_cartan_matrix
 
 
 class KostantPartition(Value):
@@ -112,9 +115,12 @@ _COUNT_CACHE_LOCK = threading.Lock()
 def count_partitions(rs: RootSystem, theta: Sequence[int]) -> int:
     """Value of the Kostant partition function at theta.
 
-    Computed by unbounded-knapsack DP over the coordinate box of theta
-    (one pass per positive coroot <= theta), not by enumeration; results are cached
-    per (root system, theta).
+    Computed by unbounded-knapsack DP over the coordinate box of theta, not
+    by enumeration: the box is one flat list, v at index sum v_k * strides[k]
+    with strides[k] = prod_{j>k} (theta_j + 1), so index order is lex order.
+    One pass per positive coroot beta <= theta visits the box points v >= beta
+    in increasing index and adds the count at index(v) - index(beta); the
+    count of theta is the last entry.  Results are cached per (root system, theta).
     """
     theta = rs.check_positive_coweight(theta)
     key = (rs, theta)
@@ -128,20 +134,23 @@ def count_partitions(rs: RootSystem, theta: Sequence[int]) -> int:
 
 
 def _count_by_dp(rs: RootSystem, theta: Coweight) -> int:
-    box = list(coordinate_box(theta))
-    ways = dict.fromkeys(box, 0)
-    ways[tuple(0 for _ in theta)] = 1
+    # theta's box in mixed radix; lex order is a linear extension of the coordinatewise order
+    strides = [1] * len(theta)
+    for k in range(len(theta) - 1, 0, -1):
+        strides[k - 1] = strides[k] * (theta[k] + 1)
+    ways = [0] * (strides[0] * (theta[0] + 1))
+    ways[0] = 1
     bound = height(theta)
     for beta in rs.positive_coroots:
         if height(beta) > bound:
             break  # coroots are sorted by height, so no later one fits in theta's box
         if any(b > t for b, t in zip(beta, theta)):
             continue  # beta is not <= theta: its pass would add nothing
-        for v in box:  # lex order is a linear extension of the coordinatewise order
-            prev = tuple(x - b for x, b in zip(v, beta))
-            if all(x >= 0 for x in prev):
-                ways[v] += ways[prev]
-    return ways[theta]
+        offset = sum(b * s for b, s in zip(beta, strides))
+        # the box points v >= beta, in increasing index, so that ways[v - beta] already counts beta
+        for i in map(sum, product(*(range(b * s, (t + 1) * s, s) for b, t, s in zip(beta, theta, strides)))):
+            ways[i] += ways[i - offset]
+    return ways[-1]
 
 
 def count_cache_clear() -> None:

@@ -260,6 +260,24 @@ class TestGrothendieckOracle:
         assert err.theta == (0, 0)
         assert err.values == {"dp_count": 1, "enumerated": 2}
 
+    def test_dropped_partition_fails_the_count_check(self, monkeypatch):
+        # one partition of (1, 1, 1) is lost and both routes agree with the short Kostant sum:
+        # only the DP counter sees that the list is one short
+        import bernasym.asymptotics as mod
+
+        def dropped(rs, theta):
+            parts = enumerate_partitions(rs, theta)
+            return parts[:-1] if theta == (1, 1, 1) else parts
+
+        monkeypatch.setattr(mod, "enumerate_partitions", dropped)
+        monkeypatch.setattr(mod, "trace_from_series", lambda series, rs, theta: mod.trace_kostant_sum(rs, theta))
+        monkeypatch.setattr(mod, "trace_grothendieck_oracle", mod.trace_kostant_sum)
+        with pytest.raises(VerificationError) as excinfo:
+            build_asymp_table(root_system("A", 3), 4)
+        err = excinfo.value
+        assert err.theta == (1, 1, 1)
+        assert err.values == {"dp_count": 4, "enumerated": 3}
+
     def test_changed_multiplicity_fails_the_route_check(self, monkeypatch):
         # the same number of partitions with the same supports, one of them with |K| larger by 1
         import bernasym.asymptotics as mod

@@ -98,6 +98,13 @@ class TestGeneration:
         rs = root_system(series, rank)
         assert len(rs.positive_coroots) == CLOSED_FORM_COUNTS[series](rank)
 
+    @pytest.mark.parametrize("series,rank,count", [("A", 40, 820), ("A", 64, 2080), ("B", 20, 400),
+                                                   ("C", 20, 400), ("D", 20, 380)])
+    def test_counts_at_large_rank(self, series, rank, count):
+        # n(n+1)/2 for A_n, n^2 for B_n and C_n, n(n-1) for D_n
+        assert CLOSED_FORM_COUNTS[series](rank) == count
+        assert len(root_system(series, rank).positive_coroots) == count
+
     @pytest.mark.parametrize("series,rank", SERIES_UNDER_TEST)
     def test_against_root_string_oracle(self, series, rank):
         matrix = series_cartan(series, rank)

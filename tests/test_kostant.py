@@ -98,11 +98,16 @@ class TestEnumeration:
                     vectors.append(vector)
                 assert vectors == sorted(vectors)
 
-    @pytest.mark.parametrize("series,rank,bound", [("A", 3, 5), ("B", 3, 4), ("C", 3, 4), ("G", 2, 6)])
+    # A1 (0,) ... (6,) and A4 h <= 4, whose thetas such as (2, 0, 1, 0) and (0, 3, 0, 0) have boxes
+    # that are flat in some directions
+    @pytest.mark.parametrize("series,rank,bound", [("A", 3, 5), ("B", 3, 4), ("C", 3, 4), ("G", 2, 6),
+                                                   ("A", 1, 6), ("A", 4, 4)])
     def test_against_every_multiplicity_vector(self, series, rank, bound):
         # reference: every vector n with n_beta <= the most copies of beta that fit in theta and
-        # sum n_beta * beta = theta, in ascending lex order; the simple partitions are its 0/1 vectors
+        # sum n_beta * beta = theta, in ascending lex order; the simple partitions are its 0/1 vectors,
+        # and the DP counts them all
         rs = root_system(series, rank)
+        count_cache_clear()  # so that the DP runs rather than a cached count
         for theta in coweights_up_to_height(rank, bound):
             caps = [min(t // b for t, b in zip(theta, beta) if b) for beta in rs.positive_coroots]
             vectors = [n for n in itertools.product(*(range(cap + 1) for cap in caps))
@@ -113,6 +118,7 @@ class TestEnumeration:
             assert [k.parts for k in enumerate_simple_partitions(rs, theta)] == [
                 parts for parts, n in zip(expected, vectors) if max(n) <= 1
             ], theta
+            assert count_partitions(rs, theta) == len(vectors), theta
 
     def test_coroots_outside_the_box_keep_canonical_indices(self):
         # A40 has 820 coroots; e_i + e_(i+1) fits only the two simple coroots and itself
