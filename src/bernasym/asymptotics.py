@@ -4,8 +4,9 @@ Three independent routes compute the same Laurent polynomial for each
 positive coweight theta, and the library's central check is their exact
 agreement:
 
-* ``trace_kostant_sum``: the closed sum
-  ``q^<rho,theta> * sum over Kostant partitions K of (1-q)^|R_K| q^-|K|``.
+* ``trace_kostant_sum``: the closed sum ``q^<rho,theta> * sum over Kostant
+  partitions K of (1-q)^|R_K| q^-|K|``, over a histogram of (|R_K|, |K|); the
+  table fills every theta's by one search over the coroots up to its bound.
 * ``trace_from_series``: the coefficient of theta in the Gindikin-Karpelevich
   product ``prod over positive coroots of (1 - e^beta)/(1 - q^-1 e^beta)``,
   converted from the e-basis (``e^theta = q^<rho,theta> 1_theta``).  The
@@ -23,8 +24,9 @@ Laurent polynomial.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import takewhile
+from itertools import pairwise, takewhile
 from math import comb
+from operator import add
 from typing import Mapping, Sequence
 
 from .cartan import (
@@ -33,47 +35,58 @@ from .cartan import (
     Value,
     check_integers,
     compositions_of,
+    coordinate_box,
     coweights_up_to_height,
     height,
     is_positive,
     root_system_from_json,
     root_system_to_json,
 )
-from .kostant import KostantPartition, count_partitions, enumerate_partitions
+from .kostant import count_partitions, enumerate_partitions
 from .qlaurent import GrothendieckClass, LaurentPoly
 
 NORMALIZATION_EXPONENT = "-(g-1)*dim(G)/2"
 
 
 class GKSeries(Value):
-    """The Gindikin-Karpelevich product truncated at ``height_bound``, as built by :func:`gk_product_series`.
+    """The Gindikin-Karpelevich product on a downward-closed region, as built by :func:`gk_product_series`.
 
-    Keys are positive coweights of height <= ``height_bound``; a coweight
-    whose coefficient is zero is not kept.
+    Every coweight of the region is a key, sorted by (height, lex); a
+    coefficient asked for outside the region raises ValueError.
     """
 
-    __slots__ = ("height_bound", "_terms")
+    __slots__ = ("_terms",)
 
     def coefficient(self, theta: Sequence[int]) -> LaurentPoly:
-        return self._terms.get(check_integers(theta), LaurentPoly.zero())
+        theta = check_integers(theta)
+        if theta not in self._terms:
+            raise ValueError(f"{theta} is outside the series region; rebuild the series over a region holding it")
+        return self._terms[theta]
 
     def terms(self) -> list[tuple[Coweight, LaurentPoly]]:
         """The nonzero terms, sorted by (height, lex) of their keys."""
-        return list(self._terms.items())
+        return [(v, poly) for v, poly in self._terms.items() if poly]
 
 
-def gk_product_series(rs: RootSystem, height_bound: int) -> GKSeries:
+def gk_product_series(rs: RootSystem, height_bound: int, box: Sequence[int] | None = None) -> GKSeries:
     """prod over positive coroots of (1 - e^beta)/(1 - q^-1 e^beta), on the coweights of height <= bound.
 
-    From the unit series S, each coroot beta makes two in-place passes over
-    the coweights sorted by height: dividing by (1 - q^-1 e^beta) in
-    increasing height, S[v] += q^-1 S[v - beta], so S[v - beta] is already
-    divided; then multiplying by (1 - e^beta) in decreasing height,
-    S[v] -= S[v - beta], so S[v - beta] is not yet multiplied.
+    With ``box`` given, the region is only the coweights of height <= bound in
+    that box (``trace --method series`` asks for theta's box).  Either region
+    is downward closed, so its coefficients are exact.  From the unit series S,
+    each coroot beta makes two in-place passes over the region sorted by
+    height: dividing by (1 - q^-1 e^beta) in increasing height,
+    S[v] += q^-1 S[v - beta], so S[v - beta] is already divided; then
+    multiplying by (1 - e^beta) in decreasing height, S[v] -= S[v - beta], so
+    S[v - beta] is not yet multiplied.
     """
     if height_bound < 0:
         raise ValueError("height bound must be >= 0")
-    region = [v for h in range(height_bound + 1) for v in compositions_of(h, rs.rank)]
+    if box is None:
+        region = [v for h in range(height_bound + 1) for v in compositions_of(h, rs.rank)]
+    else:
+        region = sorted((v for v in coordinate_box(rs.check_positive_coweight(box)) if height(v) <= height_bound),
+                        key=height)
     series = dict.fromkeys(region, LaurentPoly.zero())
     series[region[0]] = LaurentPoly.one()
     inverse_q = LaurentPoly.q_power(-1)
@@ -82,44 +95,60 @@ def gk_product_series(rs: RootSystem, height_bound: int) -> GKSeries:
         if step > height_bound:
             break  # coroots are sorted by height; above the bound a factor truncates to the unit series
         # (v, v - beta) for each v of the region with v - beta >= 0, by increasing height
-        pairs = [(tuple(x + b for x, b in zip(below, beta)), below)
-                 for below in takewhile(lambda below: height(below) + step <= height_bound, region)]
+        pairs = [(v, below) for below in takewhile(lambda below: height(below) + step <= height_bound, region)
+                 if (v := tuple(map(add, below, beta))) in series]
         for v, below in pairs:
             series[v] = series[v] + inverse_q * series[below]
         for v, below in reversed(pairs):
             series[v] = series[v] - series[below]
-    return GKSeries(height_bound, {v: poly for v, poly in series.items() if poly})
+    return GKSeries(series)
 
 
 def trace_from_series(series: GKSeries, rs: RootSystem, theta: Sequence[int]) -> LaurentPoly:
     """Convert the e-basis coefficient at theta to the 1-basis: multiply by q^<rho,theta>."""
     theta = rs.check_positive_coweight(theta)
-    if height(theta) > series.height_bound:
-        raise ValueError(
-            f"theta has height {height(theta)} above the series bound {series.height_bound};"
-            " rebuild the series with a larger bound"
-        )
     return LaurentPoly.q_power(height(theta)) * series.coefficient(theta)
 
 
 def trace_kostant_sum(rs: RootSystem, theta: Sequence[int]) -> LaurentPoly:
     """q^<rho,theta> * sum over Kostant partitions of (1-q)^|R_K| * q^-|K|."""
     theta = rs.check_positive_coweight(theta)
-    return _kostant_sum(theta, enumerate_partitions(rs, theta))
+    return _kostant_sum(theta, Counter((len(part.parts), part.size) for part in enumerate_partitions(rs, theta)))
 
 
-def _kostant_sum(theta: Coweight, partitions: Sequence[KostantPartition]) -> LaurentPoly:
-    """The Kostant sum at theta over the given list of theta's partitions.
+_ONE_MINUS_Q_POWERS = {0: [1]}  # the coefficients of (1 - q)^s from q^0 up, at key s; grown on demand
 
-    A partition's term depends only on (|R_K|, |K|), so each distinct pair is
-    summed once, times the number of partitions that have it.
+
+def _kostant_sum(theta: Coweight, histogram: Mapping[tuple[int, int], int]) -> LaurentPoly:
+    """The Kostant sum at theta from its histogram {(|R_K|, |K|): number of theta's partitions}.
+
+    A term depends only on (|R_K|, |K|): each key adds count * (1 - q)^|R_K| q^(<rho,theta> - |K|).
     """
-    histogram = Counter((len(part.parts), part.size) for part in partitions)
-    one_minus_q = LaurentPoly({0: 1, 1: -1})
-    total = LaurentPoly.zero()
+    coefficients: dict[int, int] = {}
     for (support, size), count in histogram.items():
-        total = total + one_minus_q ** support * LaurentPoly.q_power(-size, count)
-    return LaurentPoly.q_power(height(theta)) * total
+        for s in range(len(_ONE_MINUS_Q_POWERS), support + 1):  # times 1 - q: c_k - c_(k-1) at q^k
+            _ONE_MINUS_Q_POWERS.setdefault(s, [b - a for a, b in pairwise([0] + _ONE_MINUS_Q_POWERS[s - 1] + [0])])
+        for e, c in enumerate(_ONE_MINUS_Q_POWERS[support], height(theta) - size):
+            coefficients[e] = coefficients.get(e, 0) + count * c
+    return LaurentPoly(coefficients)
+
+
+def _partition_search(coroots: Sequence[tuple[Coweight, int]], start: int, weight: Coweight, budget: int,
+                      support: int, size: int, histograms: dict[Coweight, Counter]) -> None:
+    """Count a partition of ``weight`` (``support`` distinct coroots, ``size`` in all), then search its extensions.
+
+    A child adds n >= 1 copies of one (coroot, height) from index ``start`` on, within the height ``budget``:
+    each node is a new partition, none is a dead end, and the depth is the number of distinct coroots used.
+    """
+    histograms[weight][support, size] += 1
+    for j in range(start, len(coroots)):
+        beta, step = coroots[j]
+        if step > budget:
+            break  # the coroots are sorted by height
+        extended = weight
+        for n in range(1, budget // step + 1):
+            extended = tuple(map(add, extended, beta))
+            _partition_search(coroots, j + 1, extended, budget - n * step, support + 1, size + n, histograms)
 
 
 def trace_grothendieck_oracle(rs: RootSystem, theta: Sequence[int]) -> LaurentPoly:
@@ -310,19 +339,21 @@ def build_asymp_table(
     every theta: the Kostant sum, the series route and the Grothendieck-class
     route give the same trace (``kostant``, ``series``, ``oracle``), and the
     independent DP counter gives the number of Kostant partitions the sum ran
-    over (``dp_count``, ``enumerated``): theta's partitions are enumerated
-    once, for both.  The first failure raises, naming theta and the values it
-    compared.
+    over (``dp_count``, ``enumerated``): one search fills every theta's
+    (|R_K|, |K|) histogram, for both.  The first failure raises, naming theta
+    and the values it compared.
     """
     table = AsympTable(root_system=rs, height_bound=height_bound, genus=genus)
     series = gk_product_series(rs, height_bound) if verify else None
-    for theta in coweights_up_to_height(rs.rank, height_bound):
-        partitions = enumerate_partitions(rs, theta)
-        value = _kostant_sum(theta, partitions)
+    histograms = {theta: Counter() for theta in coweights_up_to_height(rs.rank, height_bound)}
+    coroots = [(beta, height(beta)) for beta in rs.positive_coroots if height(beta) <= height_bound]
+    _partition_search(coroots, 0, (0,) * rs.rank, height_bound, 0, 0, histograms)
+    for theta, histogram in histograms.items():
+        value = _kostant_sum(theta, histogram)
         if verify:
             VerificationError.check(theta, kostant=value, series=trace_from_series(series, rs, theta),
                                     oracle=trace_grothendieck_oracle(rs, theta))
-            VerificationError.check(theta, dp_count=count_partitions(rs, theta), enumerated=len(partitions))
+            VerificationError.check(theta, dp_count=count_partitions(rs, theta), enumerated=sum(histogram.values()))
         table.entries[theta] = value
     return table
 

@@ -167,7 +167,7 @@ def _cmd_trace(args: argparse.Namespace, rs: RootSystem) -> dict:
     theta = _checked(rs.check_positive_coweight, args.theta)
     routes = {
         "kostant": lambda: trace_kostant_sum(rs, theta),
-        "series": lambda: trace_from_series(gk_product_series(rs, sum(theta)), rs, theta),
+        "series": lambda: trace_from_series(gk_product_series(rs, sum(theta), box=theta), rs, theta),
         "oracle": lambda: trace_grothendieck_oracle(rs, theta),
     }
     values = {name: route() for name, route in routes.items() if args.method in (name, "all")}

@@ -5,11 +5,14 @@ coroot so that sum n_beta * beta = theta.  Enumeration is a recursive search
 over the non-simple coroots in theta's box, in the canonical coroot order;
 the simple coroots (height 1: the unit vectors) finish every node in closed
 form, since the remainder r is r_k copies of the k-th unit vector in exactly
-one way, so every node is one partition.  Counting is an independent dynamic
-program on the generating function  prod_beta 1 / (1 - x^beta)  truncated to
-the coordinate box of theta, so the two routes cross-check each other.  The
-box is one flat list of integers indexed in mixed radix, so that v - beta
-sits at a fixed offset below v for every box point v >= beta.
+one way, so every node is one partition.  It serves ``trace`` and
+``divisor``; the asymptotics table does not enumerate per theta, but fills
+every theta's (|R_K|, |K|) histogram by one search over its height region.
+Counting is an independent dynamic program on the generating function
+prod_beta 1 / (1 - x^beta) truncated to the coordinate box of theta, so a
+count cross-checks either search.  The box is one flat list of integers
+indexed in mixed radix, so that v - beta sits at a fixed offset below v for
+every box point v >= beta.
 """
 
 from __future__ import annotations

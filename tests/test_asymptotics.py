@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,15 @@ from bernasym.asymptotics import (
     trace_grothendieck_oracle,
     trace_kostant_sum,
 )
-from bernasym.cartan import RootSystemSpec, build_root_system, coweights_up_to_height, height, root_system
+from bernasym.cartan import (
+    RootSystemSpec,
+    build_root_system,
+    coordinate_box,
+    coweights_up_to_height,
+    height,
+    root_system,
+)
 from bernasym.kostant import (
-    KostantPartition,
     count_partitions,
     enumerate_partitions,
     enumerate_simple_partitions,
@@ -33,6 +40,47 @@ from bernasym.strata import codim_defect
 
 ONE = LaurentPoly.one()
 ONE_MINUS_Q = LaurentPoly({0: 1, 1: -1})
+
+
+def histogram_of(partitions):
+    """{(|R_K|, |K|): number of partitions}, counted from a partition list."""
+    return Counter((len(part.parts), part.size) for part in partitions)
+
+
+def patch_search(monkeypatch, edit=None):
+    """Wrap the table's partition search; return the histograms it filled, after ``edit(theta, histogram)`` on each.
+
+    The search recurses through its module global, so the wrapper sees every
+    node; the root node (no coroot used yet) returns last, when the search is done.
+    """
+    import bernasym.asymptotics as mod
+
+    search = mod._partition_search
+    seen = {"roots": 0, "nodes": 0, "histograms": None}
+
+    def wrapped(coroots, start, weight, budget, support, size, histograms):
+        seen["nodes"] += 1
+        search(coroots, start, weight, budget, support, size, histograms)
+        if size == 0:
+            seen["roots"] += 1
+            seen["histograms"] = histograms
+            if edit is not None:
+                for theta, histogram in histograms.items():
+                    edit(theta, histogram)
+
+    monkeypatch.setattr(mod, "_partition_search", wrapped)
+    return seen
+
+
+def routes_follow_the_table(monkeypatch, seen):
+    """Make the series and oracle routes return the table's own (possibly corrupted) Kostant sum."""
+    import bernasym.asymptotics as mod
+
+    def table_value(theta):
+        return mod._kostant_sum(theta, seen["histograms"][theta])
+
+    monkeypatch.setattr(mod, "trace_from_series", lambda series, rs, theta: table_value(theta))
+    monkeypatch.setattr(mod, "trace_grothendieck_oracle", lambda rs, theta: table_value(theta))
 
 
 @pytest.mark.parametrize(
@@ -86,7 +134,29 @@ class TestKostantSum:
                 total = LaurentPoly.zero()
                 for part in chosen:
                     total = total + ONE_MINUS_Q ** len(part.support) * LaurentPoly.q_power(height(theta) - part.size)
-                assert _kostant_sum(theta, chosen) == total, theta
+                assert _kostant_sum(theta, histogram_of(chosen)) == total, theta
+
+    @pytest.mark.parametrize(
+        "series,rank,bound",
+        [("A", 3, 9), ("B", 3, 7), ("C", 3, 7), ("D", 4, 6), ("E", 6, 4), ("F", 4, 5), ("G", 2, 14), ("A", 40, 2)],
+    )
+    def test_region_search_equals_enumeration(self, monkeypatch, series, rank, bound):
+        # the table's one search over the height region against the per-theta enumerator
+        rs = root_system(series, rank)
+        seen = patch_search(monkeypatch)
+        build_asymp_table(rs, bound, verify=False)
+        histograms = seen["histograms"]
+        assert list(histograms) == coweights_up_to_height(rank, bound)
+        for theta, histogram in histograms.items():
+            assert histogram == histogram_of(enumerate_partitions(rs, theta)), theta
+
+    def test_largest_rank_table(self):
+        # A64 has 2080 coroots; the search recurses once per distinct coroot used (<= 2 here)
+        rs = root_system("A", 64)
+        table = build_asymp_table(rs, 2, verify=False)
+        assert len(table.entries) == 1 + 64 + 64 * 65 // 2
+        assert table.entries[(1, 1) + (0,) * 62] == ONE_MINUS_Q
+        assert table.entries[(1,) + (0,) * 62 + (1,)] == LaurentPoly({0: 1, 1: -2, 2: 1})
 
 
 class TestSeries:
@@ -144,6 +214,30 @@ class TestSeries:
         terms = gk_product_series(rs, h).terms()
         assert dict(terms) == product
         assert [key for key, _ in terms] == sorted(product, key=lambda key: (height(key), key))
+
+    @pytest.mark.parametrize("series,rank,bound", [("A", 3, 6), ("B", 3, 5), ("G", 2, 8), ("D", 4, 4)])
+    def test_box_series_equals_simplex_series(self, series, rank, bound):
+        # theta's box is downward closed, so the product over it is exact there
+        rs = root_system(series, rank)
+        simplex = gk_product_series(rs, bound)
+        for theta in coweights_up_to_height(rank, bound):
+            box = gk_product_series(rs, height(theta), box=theta)
+            points = set(coordinate_box(theta))
+            for v in points:
+                assert box.coefficient(v) == simplex.coefficient(v), (theta, v)
+            assert box.terms() == [(v, poly) for v, poly in simplex.terms() if v in points]
+
+    @pytest.mark.parametrize("theta", [(2, 0), (0, 2), (2, 2)])
+    def test_outside_the_region_raises(self, theta):
+        series = gk_product_series(root_system("A", 2), 4, box=(1, 1))
+        with pytest.raises(ValueError, match="outside the series region"):
+            series.coefficient(theta)
+
+    def test_box_capped_by_the_height_bound(self):
+        series = gk_product_series(root_system("A", 2), 1, box=(1, 1))
+        assert series.coefficient((1, 0)) == LaurentPoly({-1: 1, 0: -1})
+        with pytest.raises(ValueError, match="outside the series region"):
+            series.coefficient((1, 1))
 
     def test_truncation_consistency(self):
         # a taller series agrees with a shorter one on all retained terms
@@ -217,13 +311,12 @@ class TestGrothendieckOracle:
         assert trace_grothendieck_oracle(rs, theta) == ONE_MINUS_Q
 
     def test_shares_no_enumerator_with_kostant_sum(self, monkeypatch):
-        import bernasym.asymptotics as mod
+        # one partition dropped from each histogram of two or more: a count -1 at its largest key
+        def drop_one(theta, histogram):
+            if sum(histogram.values()) >= 2:
+                histogram[max(histogram)] -= 1
 
-        def drop_last(rs, theta):
-            parts = enumerate_partitions(rs, theta)
-            return parts[:-1] if len(parts) >= 2 else parts
-
-        monkeypatch.setattr(mod, "enumerate_partitions", drop_last)
+        patch_search(monkeypatch, drop_one)
         with pytest.raises(VerificationError) as excinfo:
             build_asymp_table(root_system("A", 2), 3)
         err = excinfo.value
@@ -232,14 +325,11 @@ class TestGrothendieckOracle:
 
     @staticmethod
     def duplicate_first(monkeypatch):
-        import bernasym.asymptotics as mod
+        # one partition counted twice in every histogram: a count +1 at its smallest key
+        def duplicated(theta, histogram):
+            histogram[min(histogram)] += 1
 
-        def duplicated(rs, theta):
-            parts = enumerate_partitions(rs, theta)
-            return parts[:1] + parts
-
-        monkeypatch.setattr(mod, "enumerate_partitions", duplicated)
-        return mod
+        return patch_search(monkeypatch, duplicated)
 
     def test_duplicated_partition_fails_the_route_check(self, monkeypatch):
         self.duplicate_first(monkeypatch)
@@ -251,9 +341,7 @@ class TestGrothendieckOracle:
 
     def test_duplicated_partition_fails_the_count_check(self, monkeypatch):
         # with both routes agreeing with the corrupted Kostant sum, the DP counter still sees the duplicate
-        mod = self.duplicate_first(monkeypatch)
-        monkeypatch.setattr(mod, "trace_from_series", lambda series, rs, theta: mod.trace_kostant_sum(rs, theta))
-        monkeypatch.setattr(mod, "trace_grothendieck_oracle", mod.trace_kostant_sum)
+        routes_follow_the_table(monkeypatch, self.duplicate_first(monkeypatch))
         with pytest.raises(VerificationError) as excinfo:
             build_asymp_table(root_system("A", 2), 3)
         err = excinfo.value
@@ -262,16 +350,12 @@ class TestGrothendieckOracle:
 
     def test_dropped_partition_fails_the_count_check(self, monkeypatch):
         # one partition of (1, 1, 1) is lost and both routes agree with the short Kostant sum:
-        # only the DP counter sees that the list is one short
-        import bernasym.asymptotics as mod
+        # only the DP counter sees that the histogram is one short
+        def dropped(theta, histogram):
+            if theta == (1, 1, 1):
+                histogram[max(histogram)] -= 1
 
-        def dropped(rs, theta):
-            parts = enumerate_partitions(rs, theta)
-            return parts[:-1] if theta == (1, 1, 1) else parts
-
-        monkeypatch.setattr(mod, "enumerate_partitions", dropped)
-        monkeypatch.setattr(mod, "trace_from_series", lambda series, rs, theta: mod.trace_kostant_sum(rs, theta))
-        monkeypatch.setattr(mod, "trace_grothendieck_oracle", mod.trace_kostant_sum)
+        routes_follow_the_table(monkeypatch, patch_search(monkeypatch, dropped))
         with pytest.raises(VerificationError) as excinfo:
             build_asymp_table(root_system("A", 3), 4)
         err = excinfo.value
@@ -279,17 +363,15 @@ class TestGrothendieckOracle:
         assert err.values == {"dp_count": 4, "enumerated": 3}
 
     def test_changed_multiplicity_fails_the_route_check(self, monkeypatch):
-        # the same number of partitions with the same supports, one of them with |K| larger by 1
-        import bernasym.asymptotics as mod
+        # the same number of partitions with the same supports, one of them with |K| larger by 1:
+        # one count moves from (s, k) to (s, k + 1)
+        def changed(theta, histogram):
+            if theta == (1, 1):
+                support, size = max(histogram)
+                histogram[support, size] -= 1
+                histogram[support, size + 1] += 1
 
-        def changed(rs, theta):
-            parts = enumerate_partitions(rs, theta)
-            if theta != (1, 1):
-                return parts
-            (index, n), *rest = parts[-1].parts
-            return parts[:-1] + [KostantPartition(((index, n + 1), *rest), theta)]
-
-        monkeypatch.setattr(mod, "enumerate_partitions", changed)
+        patch_search(monkeypatch, changed)
         with pytest.raises(VerificationError) as excinfo:
             build_asymp_table(root_system("A", 2), 3)
         err = excinfo.value
@@ -451,19 +533,21 @@ class TestTable:
         keys = list(table.entries)
         assert keys == sorted(keys, key=lambda v: (height(v), v))
 
-    def test_verified_table_enumerates_each_theta_once(self, monkeypatch):
-        # a host-independent work count: one enumeration per theta serves the sum and the count check
+    def test_verified_table_searches_once_one_node_per_partition(self, monkeypatch):
+        # a host-independent work count: one search serves every theta's sum and count check,
+        # with one node per partition, and the table calls no per-theta enumerator
         import bernasym.asymptotics as mod
 
-        calls = []
+        def no_enumeration(rs, theta):
+            raise AssertionError(f"the table enumerated {theta}")
 
-        def counted(rs, theta):
-            calls.append(theta)
-            return enumerate_partitions(rs, theta)
-
-        monkeypatch.setattr(mod, "enumerate_partitions", counted)
-        table = build_asymp_table(root_system("A", 3), 9, verify=True)
-        assert len(calls) == len(set(calls)) == len(table.entries) == 220
+        monkeypatch.setattr(mod, "enumerate_partitions", no_enumeration)
+        seen = patch_search(monkeypatch)
+        rs = root_system("A", 3)
+        table = build_asymp_table(rs, 9, verify=True)
+        assert len(table.entries) == 220
+        assert seen["roots"] == 1
+        assert seen["nodes"] == sum(count_partitions(rs, theta) for theta in table.entries) == 945
 
     def test_verification_failure_reported(self, monkeypatch):
         import bernasym.asymptotics as mod

@@ -191,6 +191,21 @@ class TestTrace:
         assert code == EXIT_OK
         assert out == "1 - q\n1 - q\n1 - q\n"
 
+    def test_series_runs_over_theta_box(self, capsys, monkeypatch):
+        # A6 theta = (1, ..., 1): a box of 64 points, not the 924 coweights of height <= 6
+        import time
+
+        import bernasym.cli as cli
+
+        build, built = cli.gk_product_series, []
+        monkeypatch.setattr(cli, "gk_product_series", lambda *args, **kwargs: built.append(build(*args, **kwargs)) or built[-1])
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "--type", "A", "--rank", "6", "--theta", "1,1,1,1,1,1", "--method", "all", "trace")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_OK, "1 - q\n1 - q\n1 - q\n")
+        with pytest.raises(ValueError, match="outside the series region"):
+            built[0].coefficient((2, 0, 0, 0, 0, 0))
+
     def test_trace_all_failure_report_bytes(self, capsys, monkeypatch):
         import bernasym.cli as cli
         from bernasym.qlaurent import LaurentPoly
