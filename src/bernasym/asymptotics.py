@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import pairwise, takewhile
 from math import comb
-from operator import add
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .cartan import (
@@ -42,7 +42,8 @@ from .cartan import (
     root_system_from_json,
     root_system_to_json,
 )
-from .kostant import count_partitions, enumerate_partitions
+# count_partitions is not called here: it stays a module global for perfbench/traced.py, which wraps it
+from .kostant import count_partitions, count_region, enumerate_partitions
 from .qlaurent import GrothendieckClass, LaurentPoly
 
 NORMALIZATION_EXPONENT = "-(g-1)*dim(G)/2"
@@ -73,12 +74,15 @@ def gk_product_series(rs: RootSystem, height_bound: int, box: Sequence[int] | No
 
     With ``box`` given, the region is only the coweights of height <= bound in
     that box (``trace --method series`` asks for theta's box).  Either region
-    is downward closed, so its coefficients are exact.  From the unit series S,
-    each coroot beta makes two in-place passes over the region sorted by
-    height: dividing by (1 - q^-1 e^beta) in increasing height,
-    S[v] += q^-1 S[v - beta], so S[v - beta] is already divided; then
-    multiplying by (1 - e^beta) in decreasing height, S[v] -= S[v - beta], so
-    S[v - beta] is not yet multiplied.
+    is downward closed, so its coefficients are exact.  Each point's
+    coefficient is a row of integers, the coefficients of q^0, q^-1, ...,
+    q^-top for the region's top height (a point of height h uses q^0 ... q^-h).
+    From the unit series S, each coroot beta makes two in-place passes over
+    the region sorted by height: dividing by (1 - q^-1 e^beta) in increasing
+    height, S[v] += q^-1 S[v - beta] (the row of v - beta one step down), so
+    S[v - beta] is already divided; then multiplying by (1 - e^beta) in
+    decreasing height, S[v] -= S[v - beta], so S[v - beta] is not yet
+    multiplied.  The rows become Laurent polynomials once, at the end.
     """
     if height_bound < 0:
         raise ValueError("height bound must be >= 0")
@@ -87,9 +91,9 @@ def gk_product_series(rs: RootSystem, height_bound: int, box: Sequence[int] | No
     else:
         region = sorted((v for v in coordinate_box(rs.check_positive_coweight(box)) if height(v) <= height_bound),
                         key=height)
-    series = dict.fromkeys(region, LaurentPoly.zero())
-    series[region[0]] = LaurentPoly.one()
-    inverse_q = LaurentPoly.q_power(-1)
+    width = height(region[-1]) + 1
+    series = {v: [0] * width for v in region}
+    series[region[0]][0] = 1
     for beta in rs.positive_coroots:
         step = height(beta)
         if step > height_bound:
@@ -98,10 +102,11 @@ def gk_product_series(rs: RootSystem, height_bound: int, box: Sequence[int] | No
         pairs = [(v, below) for below in takewhile(lambda below: height(below) + step <= height_bound, region)
                  if (v := tuple(map(add, below, beta))) in series]
         for v, below in pairs:
-            series[v] = series[v] + inverse_q * series[below]
+            # v - beta has height < top, so its last entry is 0 and the shift drops nothing
+            series[v] = list(map(add, series[v], [0, *series[below]]))
         for v, below in reversed(pairs):
-            series[v] = series[v] - series[below]
-    return GKSeries(series)
+            series[v] = list(map(sub, series[v], series[below]))
+    return GKSeries({v: LaurentPoly({-i: c for i, c in enumerate(row) if c}) for v, row in series.items()})
 
 
 def trace_from_series(series: GKSeries, rs: RootSystem, theta: Sequence[int]) -> LaurentPoly:
@@ -339,13 +344,16 @@ def build_asymp_table(
     every theta: the Kostant sum, the series route and the Grothendieck-class
     route give the same trace (``kostant``, ``series``, ``oracle``), and the
     independent DP counter gives the number of Kostant partitions the sum ran
-    over (``dp_count``, ``enumerated``): one search fills every theta's
-    (|R_K|, |K|) histogram, for both.  The first failure raises, naming theta
-    and the values it compared.
+    over (``dp_count``, ``enumerated``).  One search fills every theta's
+    (|R_K|, |K|) histogram, for both checks, and one DP pass per coroot over
+    the same height region (:func:`count_region`) gives every theta's count.
+    The first failure raises, naming theta and the values it compared.
     """
     table = AsympTable(root_system=rs, height_bound=height_bound, genus=genus)
+    thetas = coweights_up_to_height(rs.rank, height_bound)
     series = gk_product_series(rs, height_bound) if verify else None
-    histograms = {theta: Counter() for theta in coweights_up_to_height(rs.rank, height_bound)}
+    counts = count_region(rs, thetas) if verify else None
+    histograms = {theta: Counter() for theta in thetas}
     coroots = [(beta, height(beta)) for beta in rs.positive_coroots if height(beta) <= height_bound]
     _partition_search(coroots, 0, (0,) * rs.rank, height_bound, 0, 0, histograms)
     for theta, histogram in histograms.items():
@@ -353,7 +361,7 @@ def build_asymp_table(
         if verify:
             VerificationError.check(theta, kostant=value, series=trace_from_series(series, rs, theta),
                                     oracle=trace_grothendieck_oracle(rs, theta))
-            VerificationError.check(theta, dp_count=count_partitions(rs, theta), enumerated=sum(histogram.values()))
+            VerificationError.check(theta, dp_count=counts[theta], enumerated=sum(histogram.values()))
         table.entries[theta] = value
     return table
 

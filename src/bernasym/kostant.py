@@ -9,20 +9,21 @@ one way, so every node is one partition.  It serves ``trace`` and
 ``divisor``; the asymptotics table does not enumerate per theta, but fills
 every theta's (|R_K|, |K|) histogram by one search over its height region.
 Counting is an independent dynamic program on the generating function
-prod_beta 1 / (1 - x^beta) truncated to the coordinate box of theta, so a
-count cross-checks either search.  The box is one flat list of integers
-indexed in mixed radix, so that v - beta sits at a fixed offset below v for
-every box point v >= beta.
+prod_beta 1 / (1 - x^beta) truncated to a downward-closed region sorted by
+height: one integer pass per coroot gives the count at every point of the
+region, so a count cross-checks either search.  The table runs it once over
+its height region; ``count_partitions`` runs it over theta's box.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from itertools import product
+from bisect import bisect_right
+from operator import add
 from typing import Sequence
 
-from .cartan import Coweight, RootSystem, Value, _from_cartan, height, validate_cartan_matrix
+from .cartan import Coweight, RootSystem, Value, _from_cartan, coordinate_box, height, validate_cartan_matrix
 
 
 class KostantPartition(Value):
@@ -118,42 +119,48 @@ _COUNT_CACHE_LOCK = threading.Lock()
 def count_partitions(rs: RootSystem, theta: Sequence[int]) -> int:
     """Value of the Kostant partition function at theta.
 
-    Computed by unbounded-knapsack DP over the coordinate box of theta, not
-    by enumeration: the box is one flat list, v at index sum v_k * strides[k]
-    with strides[k] = prod_{j>k} (theta_j + 1), so index order is lex order.
-    One pass per positive coroot beta <= theta visits the box points v >= beta
-    in increasing index and adds the count at index(v) - index(beta); the
-    count of theta is the last entry.  Results are cached per (root system, theta).
+    Computed by :func:`count_region` over theta's coordinate box sorted by
+    height, not by enumeration.  Results are memoized per (root system, theta).
     """
     theta = rs.check_positive_coweight(theta)
     key = (rs, theta)
     cached = _COUNT_CACHE.get(key)
     if cached is not None:
         return cached
-    value = _count_by_dp(rs, theta)
+    value = count_region(rs, sorted(coordinate_box(theta), key=height))[theta]
     with _COUNT_CACHE_LOCK:
         _COUNT_CACHE[key] = value
     return value
 
 
-def _count_by_dp(rs: RootSystem, theta: Coweight) -> int:
-    # theta's box in mixed radix; lex order is a linear extension of the coordinatewise order
-    strides = [1] * len(theta)
-    for k in range(len(theta) - 1, 0, -1):
-        strides[k - 1] = strides[k] * (theta[k] + 1)
-    ways = [0] * (strides[0] * (theta[0] + 1))
+def count_region(rs: RootSystem, region: Sequence[Coweight]) -> dict[Coweight, int]:
+    """The number of Kostant partitions of every point of a downward-closed region sorted by height.
+
+    Unbounded-knapsack DP: from ways[0] = 1 at the zero coweight, each
+    positive coroot beta in the region makes one pass over the points v in
+    increasing height and adds ways[v] to ways[v + beta] when v + beta is in
+    the region.  ways[v] already counts beta, since v - beta came earlier in
+    the same pass.  A coroot outside the region is skipped: by downward
+    closure no v + beta lies in it.
+    """
+    if not region or any(region[0]):
+        raise ValueError("a counting region starts at the zero coweight")
+    index = {v: i for i, v in enumerate(region)}
+    heights = [height(v) for v in region]
+    top = heights[-1]
+    ways = [0] * len(region)
     ways[0] = 1
-    bound = height(theta)
     for beta in rs.positive_coroots:
-        if height(beta) > bound:
-            break  # coroots are sorted by height, so no later one fits in theta's box
-        if any(b > t for b, t in zip(beta, theta)):
-            continue  # beta is not <= theta: its pass would add nothing
-        offset = sum(b * s for b, s in zip(beta, strides))
-        # the box points v >= beta, in increasing index, so that ways[v - beta] already counts beta
-        for i in map(sum, product(*(range(b * s, (t + 1) * s, s) for b, t, s in zip(beta, theta, strides)))):
-            ways[i] += ways[i - offset]
-    return ways[-1]
+        step = height(beta)
+        if step > top:
+            break  # coroots are sorted by height, so no later one lies in the region
+        if beta not in index:
+            continue
+        for i in range(bisect_right(heights, top - step)):
+            j = index.get(tuple(map(add, region[i], beta)))
+            if j is not None:
+                ways[j] += ways[i]
+    return dict(zip(region, ways))
 
 
 def count_cache_clear() -> None:

@@ -32,6 +32,7 @@ from bernasym.cartan import (
 )
 from bernasym.kostant import (
     count_partitions,
+    count_region,
     enumerate_partitions,
     enumerate_simple_partitions,
 )
@@ -362,6 +363,58 @@ class TestGrothendieckOracle:
         assert err.theta == (1, 1, 1)
         assert err.values == {"dp_count": 4, "enumerated": 3}
 
+    @staticmethod
+    def corrupted_region_dp(skip=None, decreasing=False):
+        """A region DP written here, with the coroot ``skip`` left out or each pass run by decreasing height.
+
+        By decreasing height, v + beta is updated before v has counted beta: a 0/1 knapsack.
+        """
+
+        def count(rs, region):
+            index = {v: i for i, v in enumerate(region)}
+            ways = [1] + [0] * (len(region) - 1)
+            for beta in rs.positive_coroots:
+                if beta == skip:
+                    continue
+                for i in reversed(range(len(region))) if decreasing else range(len(region)):
+                    j = index.get(tuple(a + b for a, b in zip(region[i], beta)))
+                    if j is not None:
+                        ways[j] += ways[i]
+            return dict(zip(region, ways))
+
+        return count
+
+    @pytest.mark.parametrize("series,rank,bound", [("A", 3, 5), ("G", 2, 8)])
+    def test_uncorrupted_region_dp_passes(self, monkeypatch, series, rank, bound):
+        # the stand-in itself is exact, so the failures below come from the corruption alone
+        import bernasym.asymptotics as mod
+
+        monkeypatch.setattr(mod, "count_region", self.corrupted_region_dp())
+        rs = root_system(series, rank)
+        assert build_asymp_table(rs, bound).entries == build_asymp_table(rs, bound, verify=False).entries
+
+    def test_skipped_coroot_fails_the_count_check(self, monkeypatch):
+        # without the highest coroot (1, 1, 1) of A3, the DP misses one partition of it
+        import bernasym.asymptotics as mod
+
+        monkeypatch.setattr(mod, "count_region", self.corrupted_region_dp(skip=(1, 1, 1)))
+        with pytest.raises(VerificationError) as excinfo:
+            build_asymp_table(root_system("A", 3), 4)
+        err = excinfo.value
+        assert err.theta == (1, 1, 1)
+        assert err.values == {"dp_count": 3, "enumerated": 4}
+
+    def test_zero_one_knapsack_fails_the_count_check(self, monkeypatch):
+        # by decreasing height each coroot is used at most once: (0, 2) = 2 * (0, 1) is not counted
+        import bernasym.asymptotics as mod
+
+        monkeypatch.setattr(mod, "count_region", self.corrupted_region_dp(decreasing=True))
+        with pytest.raises(VerificationError) as excinfo:
+            build_asymp_table(root_system("A", 2), 3)
+        err = excinfo.value
+        assert err.theta == (0, 2)
+        assert err.values == {"dp_count": 0, "enumerated": 1}
+
     def test_changed_multiplicity_fails_the_route_check(self, monkeypatch):
         # the same number of partitions with the same supports, one of them with |K| larger by 1:
         # one count moves from (s, k) to (s, k + 1)
@@ -535,19 +588,30 @@ class TestTable:
 
     def test_verified_table_searches_once_one_node_per_partition(self, monkeypatch):
         # a host-independent work count: one search serves every theta's sum and count check,
-        # with one node per partition, and the table calls no per-theta enumerator
+        # with one node per partition, one region DP gives every count, and the table calls
+        # no per-theta enumerator or counter
         import bernasym.asymptotics as mod
+        import bernasym.kostant as kostant
 
-        def no_enumeration(rs, theta):
-            raise AssertionError(f"the table enumerated {theta}")
+        def per_theta(rs, theta):
+            raise AssertionError(f"the table enumerated or counted {theta} alone")
 
-        monkeypatch.setattr(mod, "enumerate_partitions", no_enumeration)
+        regions = []
+
+        def region_dp(rs, region):
+            regions.append(count_region(rs, region))
+            return regions[-1]
+
+        for owner, name in [(mod, "enumerate_partitions"), (mod, "count_partitions"), (kostant, "count_partitions")]:
+            monkeypatch.setattr(owner, name, per_theta)
+        monkeypatch.setattr(mod, "count_region", region_dp)
         seen = patch_search(monkeypatch)
-        rs = root_system("A", 3)
-        table = build_asymp_table(rs, 9, verify=True)
+        table = build_asymp_table(root_system("A", 3), 9, verify=True)
         assert len(table.entries) == 220
         assert seen["roots"] == 1
-        assert seen["nodes"] == sum(count_partitions(rs, theta) for theta in table.entries) == 945
+        assert len(regions) == 1
+        assert list(regions[0]) == list(table.entries)
+        assert seen["nodes"] == sum(regions[0].values()) == 945
 
     def test_verification_failure_reported(self, monkeypatch):
         import bernasym.asymptotics as mod

@@ -13,6 +13,7 @@ import pytest
 from bernasym.asymptotics import asymp_table_from_json, build_asymp_table
 from bernasym.cartan import root_system
 from bernasym.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from bernasym.kostant import count_cache_clear, count_partitions
 
 
 def run(capsys, *argv):
@@ -167,7 +168,7 @@ class TestTable:
     def test_count_failure_report_bytes(self, capsys, monkeypatch):
         import bernasym.asymptotics as mod
 
-        monkeypatch.setattr(mod, "count_partitions", lambda rs, theta: 7)
+        monkeypatch.setattr(mod, "count_region", lambda rs, region: dict.fromkeys(region, 7))
         code, out, err = run(capsys, "--type", "A", "--rank", "1", "--height", "1", "table")
         assert (code, out) == (EXIT_VERIFY, "")
         assert err == '{"error": "identity-verification-failure", "theta": [0], "dp_count": 7, "enumerated": 1}\n'
@@ -600,16 +601,20 @@ class TestConfigAsFlags:
 
 class TestCountCacheEnv:
     def test_cache_file_created_and_reused(self, capsys, tmp_path, monkeypatch):
+        # the table counts by one region DP, not count_partitions, so the memo holds only the count made here
         monkeypatch.setenv("BERNASYM_CACHE_DIR", str(tmp_path))
+        count_cache_clear()
+        assert count_partitions(root_system("A", 2), (2, 1)) == 2
+        record = [[[2, -1], [-1, 2]], [0, 1], "A2", [2, 1], 2]
         argv = ("--type", "A", "--rank", "2", "--height", "2", "table")
         code, first, _ = run(capsys, *argv)
         assert code == EXIT_OK
         cache = tmp_path / "kostant_counts.json"
-        assert cache.exists()
-        assert json.loads(cache.read_text())  # non-empty records
+        assert json.loads(cache.read_text()) == [record]
+        count_cache_clear()
         code, second, _ = run(capsys, *argv)
-        assert code == EXIT_OK
-        assert first == second
+        assert (code, second) == (EXIT_OK, first)
+        assert json.loads(cache.read_text()) == [record]  # reloaded: an empty memo would have saved []
 
     def test_stale_cache_ignored(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("BERNASYM_CACHE_DIR", str(tmp_path))

@@ -13,6 +13,7 @@ from bernasym.kostant import (
     count_cache_load,
     count_cache_save,
     count_partitions,
+    count_region,
     enumerate_partitions,
     enumerate_simple_partitions,
     partition_from_json,
@@ -212,6 +213,21 @@ class TestCounting:
             rs = root_system(series, rank)
             for theta in coweights_up_to_height(rank, 6):
                 assert count_partitions(rs, theta) == len(enumerate_partitions(rs, theta))
+
+    @pytest.mark.parametrize("series,rank,bound", [("A", 3, 9), ("B", 3, 5), ("D", 4, 6), ("G", 2, 16)])
+    def test_region_counts_equal_enumeration(self, series, rank, bound):
+        # one DP over the table's height region against the per-theta enumerator, at every theta
+        rs = root_system(series, rank)
+        region = coweights_up_to_height(rank, bound)
+        counts = count_region(rs, region)
+        assert list(counts) == region
+        for theta in region:
+            assert counts[theta] == len(enumerate_partitions(rs, theta)), theta
+
+    @pytest.mark.parametrize("region", [[], [(1, 0), (0, 0)]], ids=["empty", "zero-not-first"])
+    def test_region_must_start_at_zero(self, region):
+        with pytest.raises(ValueError, match="zero coweight"):
+            count_region(root_system("A", 2), region)
 
     def test_cache_round_trip(self, tmp_path):
         count_cache_clear()
