@@ -284,8 +284,6 @@ class AsympTable(Value):
     """
 
     __slots__ = ("root_system", "height_bound", "entries", "genus")
-    __setattr__ = object.__setattr__  # unlike the other values, a table is mutable, so unhashable
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, root_system: RootSystem, height_bound: int,
                  entries: dict[Coweight, LaurentPoly] | None = None, genus: int | None = None) -> None:
@@ -315,15 +313,11 @@ class AsympTable(Value):
         }
 
     def to_csv_text(self) -> str:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["theta", "height", "trace"])
+        # no field holds a comma, a quote or a newline, so none needs CSV quoting
+        lines = ["theta,height,trace"]
         for theta, poly in self.entries.items():
-            writer.writerow([" ".join(str(x) for x in theta), height(theta), str(poly)])
-        return buf.getvalue()
+            lines.append(f"{' '.join(str(x) for x in theta)},{height(theta)},{poly}")
+        return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
         lines = [f"# {self.root_system.name}, height <= {self.height_bound}"]

@@ -290,10 +290,6 @@ class RootSystem(Value):
         return len(self.cartan)
 
     @property
-    def heights(self) -> tuple[int, ...]:
-        return tuple(height(b) for b in self.positive_coroots)
-
-    @property
     def group_dimension(self) -> int:
         """dim G for the simply connected semisimple group of this type."""
         return self.rank + 2 * len(self.positive_coroots)
@@ -457,7 +453,7 @@ def root_system_to_json(rs: RootSystem) -> dict:
         "labels": list(rs.labels),
         "cartan": [list(row) for row in rs.cartan],
         "positive_coroots": [list(b) for b in rs.positive_coroots],
-        "heights": list(rs.heights),
+        "heights": [height(b) for b in rs.positive_coroots],
     }
 
 

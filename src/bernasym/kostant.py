@@ -1,13 +1,14 @@
 """Kostant partitions of positive coweights.
 
 A partition of theta assigns a multiplicity n_beta >= 0 to each positive
-coroot so that sum n_beta * beta = theta.  Enumeration is a recursive search
-over the non-simple coroots in theta's box, in the canonical coroot order;
-the simple coroots (height 1: the unit vectors) finish every node in closed
-form, since the remainder r is r_k copies of the k-th unit vector in exactly
-one way, so every node is one partition.  It serves ``trace`` and
-``divisor``; the asymptotics table does not enumerate per theta, but fills
-every theta's (|R_K|, |K|) histogram by one search over its height region.
+coroot so that sum n_beta * beta = theta.  Enumeration is one recursive
+search over the non-simple coroots in theta's box, in the canonical coroot
+order; the simple coroots (the unit vectors) finish every node in closed
+form, as the remainder r is r_k copies of the k-th unit vector, so every node
+is one partition.  The simple partitions (each multiplicity 1) are its
+``is_simple`` filter.  It serves ``trace`` and ``divisor``; the asymptotics
+table does not enumerate per theta, but fills every theta's (|R_K|, |K|)
+histogram by one search over its height region.
 Counting is an independent dynamic program on the generating function
 prod_beta 1 / (1 - x^beta) truncated to a downward-closed region sorted by
 height: one integer pass per coroot gives the count at every point of the
@@ -53,7 +54,9 @@ class KostantPartition(Value):
         return all(n == 1 for _, n in self.parts)
 
 
-def _enumerate(rs: RootSystem, theta: Coweight, max_multiplicity: int | None) -> list[KostantPartition]:
+def enumerate_partitions(rs: RootSystem, theta: Sequence[int]) -> list[KostantPartition]:
+    """The complete duplicate-free list of Kostant partitions of theta."""
+    theta = rs.check_positive_coweight(theta)
     # only the coroots in theta's box can be used; each keeps its canonical index.
     # The coroots are sorted by height, so the scan stops at the first one taller
     # than theta, before comparing coordinates, and the simple coroots (height 1:
@@ -78,16 +81,12 @@ def _enumerate(rs: RootSystem, theta: Coweight, max_multiplicity: int | None) ->
 
     def descend(i: int, remaining: Coweight) -> None:
         # the remainder is a sum of simple coroots in exactly one way: r_k copies of the k-th unit vector
-        if max_multiplicity is None or all(r <= max_multiplicity for r in remaining):
-            vector = tuple(remaining[k] for k in simple) + tuple(used)
-            found.append((vector, tuple((index, n) for index, n in zip(indices, vector) if n)))
+        vector = tuple(remaining[k] for k in simple) + tuple(used)
+        found.append((vector, tuple((index, n) for index, n in zip(indices, vector) if n)))
         # pick the next non-simple coroot used (depth <= height(theta) / 2)
         for j in range(i, len(fitting)):
             beta = fitting[j]
-            cap = min(r // b for r, b in zip(remaining, beta) if b)
-            if max_multiplicity is not None:
-                cap = min(cap, max_multiplicity)
-            for n in range(1, cap + 1):
+            for n in range(1, min(r // b for r, b in zip(remaining, beta) if b) + 1):
                 used[j] = n
                 descend(j + 1, tuple(r - n * b for r, b in zip(remaining, beta)))
             used[j] = 0
@@ -98,16 +97,9 @@ def _enumerate(rs: RootSystem, theta: Coweight, max_multiplicity: int | None) ->
     return [KostantPartition(parts=parts, weight=theta) for _, parts in found]
 
 
-def enumerate_partitions(rs: RootSystem, theta: Sequence[int]) -> list[KostantPartition]:
-    """The complete duplicate-free list of Kostant partitions of theta."""
-    theta = rs.check_positive_coweight(theta)
-    return _enumerate(rs, theta, None)
-
-
 def enumerate_simple_partitions(rs: RootSystem, theta: Sequence[int]) -> list[KostantPartition]:
     """Partitions with every multiplicity equal to 1: subsets of the positive coroots summing to theta."""
-    theta = rs.check_positive_coweight(theta)
-    return _enumerate(rs, theta, 1)
+    return [k for k in enumerate_partitions(rs, theta) if k.is_simple]
 
 
 # -- counting (independent dynamic program) ---------------------------------

@@ -103,15 +103,15 @@ class DefectPoset(Value):
 
     def to_dot(self) -> str:
         """DOT digraph; nodes carry coordinates and codimension, edges are covers."""
+        def name(v: QuotientCoweight) -> str:
+            return "_".join(str(x) for x in v) or "0"
+
         lines = ["digraph defect_poset {", "  rankdir=BT;"]
         for v in self.elements:
-            name = "_".join(str(x) for x in v) or "0"
             coords = "(" + ", ".join(str(x) for x in v) + ")"
-            lines.append(f'  "{name}" [label="{coords}\\ncodim {2 * height(v)}"];')
+            lines.append(f'  "{name(v)}" [label="{coords}\\ncodim {2 * height(v)}"];')
         for lower, upper in self.covers:
-            lo = "_".join(str(x) for x in lower) or "0"
-            up = "_".join(str(x) for x in upper) or "0"
-            lines.append(f'  "{lo}" -> "{up}";')
+            lines.append(f'  "{name(lower)}" -> "{name(upper)}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
 

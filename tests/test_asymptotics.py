@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 from collections import Counter
 from fractions import Fraction
@@ -692,11 +694,19 @@ class TestTable:
         expected = str(Fraction(-(genus - 1) * rs.group_dimension, 2))
         assert table.metadata()["normalization_exponent_value"] == expected
 
-    def test_table_is_mutable_and_unhashable(self):
-        table = build_asymp_table(root_system("A", 1), 1, verify=False)
-        table.genus = 2
+    def test_table_is_read_only_and_unhashable(self):
+        # a table is a Value like every other result: no field can be reassigned or deleted, and
+        # its entries dict makes hash() raise TypeError; tables with equal fields stay equal
+        table = build_asymp_table(root_system("A", 1), 1, verify=False, genus=2)
+        for name in AsympTable.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(table, name, None)
+            with pytest.raises(AttributeError):
+                delattr(table, name)
+        assert table.genus == 2
         assert table.metadata()["normalization_exponent_value"] == "-3/2"
         assert table == build_asymp_table(root_system("A", 1), 1, verify=False, genus=2)
+        assert table != build_asymp_table(root_system("A", 1), 1, verify=False)
         with pytest.raises(TypeError):
             hash(table)
 
@@ -705,6 +715,19 @@ class TestTable:
         assert table.to_csv_text() == (
             "theta,height,trace\n0,0,1\n1,1,1 - q\n2,2,1 - q\n"
         )
+
+    @pytest.mark.parametrize("series,rank,bound", [("E", 6, 6), ("D", 4, 8)])
+    def test_csv_equals_standard_library_writer(self, series, rank, bound):
+        # large tables whose traces have negative coefficients: the plain join must be what
+        # csv.writer gives, so no field needed quoting
+        table = build_asymp_table(root_system(series, rank), bound, verify=False)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["theta", "height", "trace"])
+        for theta, poly in table.entries.items():
+            writer.writerow([" ".join(str(x) for x in theta), height(theta), str(poly)])
+        assert any(c < 0 for poly in table.entries.values() for _, c in poly.to_pairs())
+        assert table.to_csv_text() == buf.getvalue()
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):

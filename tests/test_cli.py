@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,16 @@ from bernasym.asymptotics import asymp_table_from_json, build_asymp_table
 from bernasym.cartan import root_system
 from bernasym.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from bernasym.kostant import count_cache_clear, count_partitions
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_command_lines():
+    """The ``bernasym ...`` lines of the README's "Command line" code block, comments kept."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("bernasym ")]
 
 
 def run(capsys, *argv):
@@ -643,6 +654,23 @@ class TestCountCacheEnv:
         code, out, _ = run(capsys, "--type", "A", "--rank", "1", "--height", "1", "table")
         assert code == EXIT_OK
         assert len(json.loads(out)["entries"]) == 2
+
+
+class TestReadme:
+    def test_command_block_found(self):
+        assert len(readme_command_lines()) == 7
+
+    @pytest.mark.parametrize("line", readme_command_lines())
+    def test_command_line_runs(self, capsys, monkeypatch, line):
+        # split as a shell would, dropping the trailing "# comment", and run in process
+        monkeypatch.delenv("BERNASYM_CACHE_DIR", raising=False)
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "bernasym"
+        code, out, err = run(capsys, *argv[1:])
+        assert code == EXIT_OK, err
+        assert out
+        if argv[-1] == "divisor":
+            assert out == line.partition(" #")[2].strip() + "\n" == "1 - 2q + q^2\n"  # the comment's promise
 
 
 class TestStartup:

@@ -278,13 +278,21 @@ class TestSimpleFamily:
         parts = enumerate_simple_partitions(root_system("A", 2), (0, 0))
         assert len(parts) == 1 and parts[0].parts == ()
 
-    def test_simple_equals_filtered_enumeration(self):
+    def test_simple_equals_subsets_summing_to_theta(self):
+        # reference sharing no code with the enumerator: every subset of the positive coroots
+        # (at most 6 here, so 64 subsets) whose sum is theta, in ascending lex order of its 0/1 vector
         for series, rank in SWEEP:
             rs = root_system(series, rank)
+            coroots = rs.positive_coroots
+            subsets = [chosen for size in range(len(coroots) + 1)
+                       for chosen in itertools.combinations(range(len(coroots)), size)]
             for theta in coweights_up_to_height(rank, 5):
-                direct = {k.parts for k in enumerate_simple_partitions(rs, theta)}
-                filtered = {k.parts for k in enumerate_partitions(rs, theta) if k.is_simple}
-                assert direct == filtered
+                expected = [chosen for chosen in subsets
+                            if all(sum(coroots[i][k] for i in chosen) == theta[k] for k in range(rank))]
+                expected.sort(key=lambda chosen: [int(i in chosen) for i in range(len(coroots))])
+                assert [k.parts for k in enumerate_simple_partitions(rs, theta)] == [
+                    tuple((i, 1) for i in chosen) for chosen in expected
+                ], (series, rank, theta)
 
 
 class TestPairSplittingIdentity:

@@ -208,6 +208,12 @@ class TestDefectPoset:
         assert 'codim 4' in dot
         assert dot.endswith("}\n")
 
+    def test_dot_of_rank_zero_quotient(self):
+        # a Levi holding every vertex leaves quotient rank 0: one empty coweight, named "0", no edges
+        poset = defect_poset(root_system("A", 2), ParabolicType((0, 1)), 2)
+        assert poset.elements == ((),) and poset.covers == ()
+        assert poset.to_dot() == 'digraph defect_poset {\n  rankdir=BT;\n  "0" [label="()\\ncodim 0"];\n}\n'
+
     def test_json(self):
         poset = defect_poset(root_system("A", 1), ParabolicType.borel(), 1)
         assert defect_poset_to_json(poset) == {
