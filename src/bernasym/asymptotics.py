@@ -27,7 +27,8 @@ from collections import Counter
 from itertools import pairwise, takewhile
 from math import comb
 from operator import add, sub
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .cartan import (
     Coweight,
@@ -279,17 +280,32 @@ class VerificationError(Exception):
 class AsympTable(Value):
     """Table theta -> normalized trace over the height-bounded positive coweights.
 
-    The parabolic is the Borel throughout; the omitted normalization factor is
-    described by ``normalization_exponent`` in the metadata.
+    The constructor checks the height and genus (ints >= 0), then draws every entry and checks its theta
+    (distinct, positive, of height <= the bound); ``entries`` is a read-only view.  The parabolic is the
+    Borel throughout; the omitted normalization factor is ``normalization_exponent`` in the metadata.
     """
 
-    __slots__ = ("root_system", "height_bound", "entries", "genus")
+    __slots__ = ("root_system", "height_bound", "_entries", "genus")
 
     def __init__(self, root_system: RootSystem, height_bound: int,
-                 entries: dict[Coweight, LaurentPoly] | None = None, genus: int | None = None) -> None:
+                 entries: Mapping | Iterable[tuple[Sequence[int], LaurentPoly]] = (), genus: int | None = None):
+        if type(height_bound) is not int or not (genus is None or type(genus) is int):
+            raise ValueError(f"table height {height_bound!r} and genus {genus!r} must be integers")
         if height_bound < 0 or (genus is not None and genus < 0):
             raise ValueError(f"table height {height_bound} and genus {genus} must be >= 0")
-        super().__init__(root_system, height_bound, {} if entries is None else entries, genus)
+        checked: dict[Coweight, LaurentPoly] = {}
+        for theta, poly in entries.items() if isinstance(entries, Mapping) else entries:
+            theta = root_system.check_positive_coweight(theta)
+            if height(theta) > height_bound:
+                raise ValueError(f"table entry {theta} exceeds the height bound {height_bound}")
+            if theta in checked:
+                raise ValueError(f"table entry {theta} appears twice")
+            checked[theta] = poly
+        super().__init__(root_system, height_bound, checked, genus)
+
+    @property
+    def entries(self) -> Mapping[Coweight, LaurentPoly]:
+        return MappingProxyType(self._entries)  # the dict itself stays in the slot: copy and pickle need it
 
     def metadata(self) -> dict:
         meta: dict = {
@@ -343,36 +359,26 @@ def build_asymp_table(
     the same height region (:func:`count_region`) gives every theta's count.
     The first failure raises, naming theta and the values it compared.
     """
-    table = AsympTable(root_system=rs, height_bound=height_bound, genus=genus)
-    thetas = coweights_up_to_height(rs.rank, height_bound)
-    series = gk_product_series(rs, height_bound) if verify else None
-    counts = count_region(rs, thetas) if verify else None
-    histograms = {theta: Counter() for theta in thetas}
-    coroots = [(beta, height(beta)) for beta in rs.positive_coroots if height(beta) <= height_bound]
-    _partition_search(coroots, 0, (0,) * rs.rank, height_bound, 0, 0, histograms)
-    for theta, histogram in histograms.items():
-        value = _kostant_sum(theta, histogram)
-        if verify:
-            VerificationError.check(theta, kostant=value, series=trace_from_series(series, rs, theta),
-                                    oracle=trace_grothendieck_oracle(rs, theta))
-            VerificationError.check(theta, dp_count=counts[theta], enumerated=sum(histogram.values()))
-        table.entries[theta] = value
-    return table
+    def traces():
+        thetas = coweights_up_to_height(rs.rank, height_bound)
+        series = gk_product_series(rs, height_bound) if verify else None
+        counts = count_region(rs, thetas) if verify else None
+        histograms = {theta: Counter() for theta in thetas}
+        coroots = [(beta, height(beta)) for beta in rs.positive_coroots if height(beta) <= height_bound]
+        _partition_search(coroots, 0, (0,) * rs.rank, height_bound, 0, 0, histograms)
+        for theta, histogram in histograms.items():
+            value = _kostant_sum(theta, histogram)
+            if verify:
+                VerificationError.check(theta, kostant=value, series=trace_from_series(series, rs, theta),
+                                        oracle=trace_grothendieck_oracle(rs, theta))
+                VerificationError.check(theta, dp_count=counts[theta], enumerated=sum(histogram.values()))
+            yield theta, value
+
+    return AsympTable(rs, height_bound, traces(), genus)  # checks height and genus before the first trace
 
 
 def asymp_table_from_json(obj: Mapping) -> AsympTable:
-    """Rebuild a table; every theta must be a distinct positive coweight of height <= ``height``."""
-    rs = root_system_from_json(obj["root_system"])
-    height_bound = obj["height"]
-    genus = obj.get("metadata", {}).get("genus")
-    if type(height_bound) is not int or not (genus is None or type(genus) is int):
-        raise ValueError(f"table height {height_bound!r} and genus {genus!r} must be integers")
-    table = AsympTable(root_system=rs, height_bound=height_bound, genus=genus)
-    for record in obj["entries"]:
-        theta = rs.check_positive_coweight(record["theta"])
-        if height(theta) > height_bound:
-            raise ValueError(f"table entry {theta} exceeds the height bound {height_bound}")
-        if theta in table.entries:
-            raise ValueError(f"table entry {theta} appears twice")
-        table.entries[theta] = LaurentPoly.from_pairs(record["trace"])
-    return table
+    """Rebuild a table; :class:`AsympTable` checks its height, genus and every theta."""
+    entries = ((record["theta"], LaurentPoly.from_pairs(record["trace"])) for record in obj["entries"])
+    return AsympTable(root_system_from_json(obj["root_system"]), obj["height"], entries,
+                      obj.get("metadata", {}).get("genus"))

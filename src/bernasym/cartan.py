@@ -137,6 +137,8 @@ def _leading_minors_positive(matrix: Sequence[Sequence[int]]) -> bool:
 
 def series_cartan(series: str, rank: int) -> CartanMatrix:
     """Cartan matrix of a recognized finite series at the given rank."""
+    if type(series) is not str or type(rank) is not int:
+        raise ValueError(f"series {series!r} and rank {rank!r} must be a letter and an integer")
     series = series.upper()
     if series not in SERIES_RANK_RANGES:
         raise ValueError(f"unknown series {series!r}; expected one of A, B, C, D, E, F, G")
@@ -205,17 +207,26 @@ CLOSED_FORM_COUNTS = {
 
 
 class Value:
-    """Immutable value: its fields are its ``__slots__``, set in slot order by ``Value.__init__``.
+    """Immutable value: its fields are its ``__slots__``, each set once by ``Value.__init__``.
 
-    ``__reduce__`` gives (class, fields): equality and hash compare it, copy and pickle rebuild from it.
-    The repr is ``Name(field=value, ...)``; assigning a field raises AttributeError.
+    ``Value.__init__`` takes every field, by position in slot order or by name; a missing, extra or unknown
+    field raises TypeError.  ``__reduce__`` gives (class, fields): equality and hash compare it, copy and
+    pickle rebuild from it.  The repr is ``Name(field=value, ...)``; assigning a field raises AttributeError.
     """
 
     __slots__ = ()
 
-    def __init__(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+    def __init__(self, *values: object, **fields: object) -> None:
+        slots = self.__slots__
+        try:  # equal counts and a name for each slot after the positional ones leave no name unknown or repeated
+            if len(values) + len(fields) != len(slots):
+                raise KeyError
+            for name, value in zip(slots, values):
+                object.__setattr__(self, name, value)
+            for name in slots[len(values):]:
+                object.__setattr__(self, name, fields[name])
+        except KeyError:  # the count is off, or a field is not named
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(slots)}, each once") from None
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
@@ -250,8 +261,8 @@ class RootSystemSpec(Value):
         else:
             if series is None or rank is None:
                 raise ValueError("a root-system spec needs a series and a rank, or a Cartan matrix")
+            series_cartan(series, rank)  # validates the pair, their types first
             series = series.upper()
-            series_cartan(series, rank)  # validates the pair
         super().__init__(series, rank, cartan, label)
 
     @property

@@ -36,9 +36,6 @@ class KostantPartition(Value):
 
     __slots__ = ("parts", "weight")
 
-    def __init__(self, parts: tuple[tuple[int, int], ...], weight: Coweight) -> None:
-        super().__init__(parts, weight)
-
     @property
     def size(self) -> int:
         """|K| = total multiplicity."""

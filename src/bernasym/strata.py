@@ -33,19 +33,12 @@ class ParabolicStratum(Value):
 
     __slots__ = ("levi_vertices", "canonical_point")
 
-    def __init__(self, levi_vertices: tuple[int, ...], canonical_point: tuple[int, ...]) -> None:
-        super().__init__(levi_vertices, canonical_point)
-
 
 def enumerate_parabolic_strata(rs: RootSystem) -> list[ParabolicStratum]:
     """All 2^r strata, sorted by (number of Levi vertices, lex)."""
-    out: list[ParabolicStratum] = []
-    for k in range(rs.rank + 1):
-        for verts in itertools.combinations(range(rs.rank), k):
-            kept = set(verts)
-            point = tuple(1 if i in kept else 0 for i in range(rs.rank))
-            out.append(ParabolicStratum(levi_vertices=verts, canonical_point=point))
-    return out
+    return [ParabolicStratum(levi_vertices=verts,
+                             canonical_point=tuple(1 if i in verts else 0 for i in range(rs.rank)))
+            for k in range(rs.rank + 1) for verts in itertools.combinations(range(rs.rank), k)]
 
 
 class DefectStratumIndex(Value):
@@ -56,10 +49,6 @@ class DefectStratumIndex(Value):
     """
 
     __slots__ = ("levi_vertices", "total", "parts")
-
-    def __init__(self, levi_vertices: tuple[int, ...], total: QuotientCoweight,
-                 parts: tuple[QuotientCoweight, QuotientCoweight, QuotientCoweight]) -> None:
-        super().__init__(levi_vertices, total, parts)
 
     @property
     def defect(self) -> QuotientCoweight:
@@ -96,10 +85,6 @@ class DefectPoset(Value):
     """Coordinatewise order on the positive quotient coweights of bounded height."""
 
     __slots__ = ("elements", "covers", "bound")
-
-    def __init__(self, elements: tuple[QuotientCoweight, ...],
-                 covers: tuple[tuple[QuotientCoweight, QuotientCoweight], ...], bound: int) -> None:
-        super().__init__(elements, covers, bound)
 
     def to_dot(self) -> str:
         """DOT digraph; nodes carry coordinates and codimension, edges are covers."""

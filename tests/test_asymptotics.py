@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -661,6 +663,16 @@ class TestTable:
         with pytest.raises(ValueError, match="must be integers"):
             asymp_table_from_json(obj)
 
+    @pytest.mark.parametrize("height_bound, genus", [(True, None), (1, False), (2.0, None), (1, 2.0), (1, "1")],
+                             ids=["boolean-height", "boolean-genus", "float-height", "float-genus", "string-genus"])
+    def test_build_rejects_non_integer_field(self, height_bound, genus, monkeypatch):
+        # the constructor checks height and genus before the builder's first trace: no work is done
+        import bernasym.asymptotics as mod
+
+        monkeypatch.setattr(mod, "coweights_up_to_height", lambda *args: pytest.fail("the table listed its thetas"))
+        with pytest.raises(ValueError, match="must be integers"):
+            build_asymp_table(root_system("A", 2), height_bound, genus=genus)
+
     def test_negative_genus_rejected(self):
         with pytest.raises(ValueError, match="genus -4 must be >= 0"):
             build_asymp_table(root_system("A", 1), 1, genus=-4)
@@ -695,20 +707,50 @@ class TestTable:
         assert table.metadata()["normalization_exponent_value"] == expected
 
     def test_table_is_read_only_and_unhashable(self):
-        # a table is a Value like every other result: no field can be reassigned or deleted, and
-        # its entries dict makes hash() raise TypeError; tables with equal fields stay equal
+        # a table is a Value like every other result: no field can be reassigned or deleted, its
+        # entries cannot be changed, and its entries dict makes hash() raise TypeError; tables with
+        # equal fields stay equal
         table = build_asymp_table(root_system("A", 1), 1, verify=False, genus=2)
-        for name in AsympTable.__slots__:
+        for name in (*AsympTable.__slots__, "entries"):
             with pytest.raises(AttributeError):
                 setattr(table, name, None)
             with pytest.raises(AttributeError):
                 delattr(table, name)
+        for change in (lambda e: e.__setitem__((9,), ONE), lambda e: e.__delitem__((1,)), lambda e: e.clear(),
+                       lambda e: e.update({(9,): ONE}), lambda e: e.pop((1,))):
+            with pytest.raises((TypeError, AttributeError)):
+                change(table.entries)
+        with pytest.raises(TypeError):
+            table.entries[(9,)] = ONE
+        assert dict(table.entries) == {(0,): ONE, (1,): ONE_MINUS_Q}
         assert table.genus == 2
         assert table.metadata()["normalization_exponent_value"] == "-3/2"
         assert table == build_asymp_table(root_system("A", 1), 1, verify=False, genus=2)
         assert table != build_asymp_table(root_system("A", 1), 1, verify=False)
         with pytest.raises(TypeError):
             hash(table)
+
+    def test_copy_and_pickle_round_trip(self):
+        table = build_asymp_table(root_system("B", 2), 3, verify=False, genus=1)
+        for clone in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert type(clone) is AsympTable and clone == table
+            assert list(clone.entries) == list(table.entries)
+            assert clone.to_json_obj() == table.to_json_obj()
+            with pytest.raises(TypeError):
+                hash(clone)
+
+    def test_constructor_checks_every_entry(self):
+        # the loader only constructs, so a table built by hand meets the same checks
+        rs = root_system("A", 2)
+        for theta, match in [((1,), "length"), ((-1, 1), "not positive"), ((2, 2), "height bound"),
+                             ((1.0, 0), "not an integer")]:
+            with pytest.raises(ValueError, match=match):
+                AsympTable(rs, 3, {theta: ONE})
+        with pytest.raises(ValueError, match=r"table entry \(1, 0\) appears twice"):
+            AsympTable(rs, 3, [((1, 0), ONE), ([1, 0], ONE)])
+        table = AsympTable(rs, 3, [([1, 0], ONE)])
+        assert list(table.entries) == [(1, 0)]
+        assert AsympTable(rs, 3, table.entries) == table
 
     def test_csv_mirror(self):
         table = build_asymp_table(root_system("A", 1), 2, verify=False)

@@ -16,12 +16,14 @@ from fractions import Fraction
 
 import pytest
 
-from bernasym.asymptotics import ColoredDivisor
+import bernasym
+from bernasym.asymptotics import AsympTable, ColoredDivisor, GKSeries
 from bernasym.cartan import (
     CLOSED_FORM_COUNTS,
     ParabolicType,
     RootSystem,
     RootSystemSpec,
+    Value,
     build_root_system,
     check_quotient_coweight,
     coweights_up_to_height,
@@ -37,6 +39,7 @@ from bernasym.cartan import (
     validate_cartan_matrix,
 )
 from bernasym.kostant import KostantPartition
+from bernasym.strata import DefectPoset, DefectStratumIndex, ParabolicStratum
 
 
 def positive_roots_by_strings(cartan) -> set[tuple[int, ...]]:
@@ -176,6 +179,14 @@ class TestValidation:
     def test_both_sources_rejected(self):
         with pytest.raises(ValueError):
             RootSystemSpec(series="A", rank=2, cartan=((2,),))
+
+    @pytest.mark.parametrize("series,rank", [("A", True), ("A", 2.0), (3, 2), (b"A", 2)], ids=repr)
+    def test_series_and_rank_types_rejected(self, series, rank):
+        # a bool is an int to Python: only an exact type check keeps rank=True from building A1 named "ATrue"
+        with pytest.raises(ValueError, match="must be a letter and an integer"):
+            RootSystemSpec(series=series, rank=rank)
+        with pytest.raises(ValueError, match="must be a letter and an integer"):
+            series_cartan(series, rank)
 
     @pytest.mark.parametrize(
         "coroots,match",
@@ -354,9 +365,35 @@ class TestRhoPairing:
 
 VALUE_MAKERS = {
     "RootSystem": lambda: root_system("A", 2),
+    "RootSystemSpec": lambda: RootSystemSpec(series="B", rank=2),
     "KostantPartition": lambda: KostantPartition(parts=((0, 1), (2, 1)), weight=(1, 1)),
     "ParabolicType": lambda: ParabolicType((2, 0)),
     "ColoredDivisor": lambda: ColoredDivisor(points=(("x", (1, 0)),)),
+    "ParabolicStratum": lambda: ParabolicStratum(levi_vertices=(1,), canonical_point=(0, 1)),
+    "DefectStratumIndex": lambda: DefectStratumIndex(levi_vertices=(), total=(1, 0),
+                                                     parts=((0, 0), (1, 0), (0, 0))),
+    "DefectPoset": lambda: DefectPoset(elements=((0,), (1,)), covers=(((0,), (1,)),), bound=1),
+}
+
+
+def value_classes() -> list[type]:
+    """Every subclass of Value that the package defines."""
+    found, pending = [], [Value]
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            if sub.__module__.startswith(bernasym.__name__):
+                found.append(sub)
+            pending.append(sub)
+    return found
+
+
+#: the classes whose constructor is Value.__init__ itself
+PLAIN_VALUE_CLASSES = [cls for cls in value_classes() if "__init__" not in vars(cls)]
+#: a call to each class with a constructor of its own, short of a field it needs
+MISSING_FIELD = {
+    RootSystem: lambda: RootSystem("A1", ((2,),), (0,)),
+    ColoredDivisor: lambda: ColoredDivisor(),
+    AsympTable: lambda: AsympTable(root_system("A", 1)),
 }
 
 
@@ -379,6 +416,53 @@ class TestValueSemantics:
         assert a == b and not a != b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("kind", VALUE_MAKERS)
+    def test_keyword_construction_equals_positional(self, kind):
+        value = VALUE_MAKERS[kind]()
+        fields = value.__reduce__()[1]
+        by_name = type(value)(**dict(zip(type(value).__slots__, fields)))
+        assert by_name == type(value)(*fields) == value
+
+    def test_plain_value_classes_found(self):
+        names = {cls.__name__ for cls in PLAIN_VALUE_CLASSES}
+        assert names == {"KostantPartition", "ParabolicStratum", "DefectStratumIndex", "DefectPoset", "GKSeries"}
+        own_constructor = set(value_classes()) - set(PLAIN_VALUE_CLASSES)
+        assert own_constructor == set(MISSING_FIELD) | {RootSystemSpec, ParabolicType}
+
+    @pytest.mark.parametrize("cls", PLAIN_VALUE_CLASSES, ids=lambda cls: cls.__name__)
+    def test_wrong_field_set_raises_type_error(self, cls):
+        # unchecked, GKSeries() builds an object whose repr raises AttributeError, and
+        # GKSeries({}, "extra") drops "extra" without a word
+        slots = cls.__slots__
+        calls = {
+            "missing by position": lambda: cls(*range(len(slots) - 1)),
+            "missing by name": lambda: cls(**{name: 0 for name in slots[1:]}),
+            "extra by position": lambda: cls(*range(len(slots) + 1)),
+            "unknown name": lambda: cls(*range(len(slots) - 1), unknown=0),
+            "unknown name added": lambda: cls(**{name: 0 for name in slots}, unknown=0),
+            # with two or more fields: the first one twice and the last one missing, so the count is right
+            "named twice": lambda: cls(*range(max(len(slots) - 1, 1)), **{slots[0]: 0}),
+            "none": lambda: cls(),
+        }
+        for what, call in calls.items():
+            try:
+                call()
+            except TypeError as exc:
+                assert f"{cls.__name__} takes the fields" in str(exc), what
+            else:
+                pytest.fail(f"{cls.__name__}: {what} was accepted")
+        assert cls(*range(len(slots))) == cls(**{name: i for i, name in enumerate(slots)})
+
+    @pytest.mark.parametrize("cls", value_classes(), ids=lambda cls: cls.__name__)
+    def test_extra_or_unknown_field_raises_type_error_everywhere(self, cls):
+        with pytest.raises(TypeError):
+            cls(*range(len(cls.__slots__) + 1))
+        with pytest.raises(TypeError):
+            cls(unknown=0)
+        if cls in MISSING_FIELD:
+            with pytest.raises(TypeError):
+                MISSING_FIELD[cls]()
 
     def test_unequal_fields(self):
         assert root_system("A", 2) != root_system("A", 3)

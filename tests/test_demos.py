@@ -36,3 +36,13 @@ def test_star_import_binds_every_public_name():
     exec("from bernasym import *", namespace)
     assert set(bernasym.__all__) <= set(namespace)
     assert not {"MonoidSeries", "geometric_factor"} & set(namespace)
+
+
+def test_readme_quickstart_runs(capsys):
+    # the "Library quickstart" block of README.md, run as it is written
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    assert capsys.readouterr().out == "1 - q\n"
+    assert len(namespace["table"].entries) == 28  # the coweights of G2 of height <= 6: C(8, 2)

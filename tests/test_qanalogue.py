@@ -18,6 +18,7 @@ shares no code with the routes: it reads only their traces and the DP count.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -85,12 +86,17 @@ def exponent_sum(series, rank):
     return total
 
 
-def route(rs, name):
+def route(rs, name, height_bound=None):
+    """``trace(theta)`` by one route; the series covers the highest coroot's box, or every theta of
+    height <= ``height_bound`` when it is given."""
     if name == "kostant":
         return lambda theta: trace_kostant_sum(rs, theta)
     if name == "series":
-        lam = rs.positive_coroots[-1]
-        series = gk_product_series(rs, height(lam), box=lam)
+        if height_bound is None:
+            lam = rs.positive_coroots[-1]
+            series = gk_product_series(rs, height(lam), box=lam)
+        else:
+            series = gk_product_series(rs, height_bound)
         return lambda theta: trace_from_series(series, rs, theta)
     return lambda theta: trace_grothendieck_oracle(rs, theta)
 
@@ -120,3 +126,175 @@ def test_q_added_at_one_simple_coroot_is_caught(series, rank):
         return trace_kostant_sum(rs, theta) + (LaurentPoly.q_power(1) if theta == simple else 0)
 
     assert q_analogue(rs, corrupted) != exponent_sum(series, rank)
+
+
+# -- Kostka-Foulkes polynomials of GL_n ------------------------------------------------------------
+#
+# For dominant lambda, mu with lambda - mu in the root lattice, the same alternating sum gives
+# K_{lambda,mu}(t) = sum over w in W of sign(w) P_t(w(lambda + rho) - (mu + rho)).  For GL_n the Weyl
+# group S_n permutes the epsilon-coordinates, rho = (n-1, ..., 1, 0), and gamma = sum_i c_i alpha_i
+# with alpha_i = eps_i - eps_(i+1) has c_i = gamma_1 + ... + gamma_i.  Lascoux and Schutzenberger
+# ("Sur une conjecture de H. O. Foulkes", 1978; Macdonald, Symmetric Functions and Hall Polynomials,
+# III.6) give K_{lambda,mu}(t) = sum of t^charge(T) over the semistandard tableaux T of shape lambda
+# and content mu.  The tableaux, the charge and the permutation sum are written here.
+
+KOSTKA_SIZE = 6  # every pair of partitions of one size <= 6 with at most n parts, for n = 2, 3, 4
+
+
+def partitions_of(size, parts):
+    """The partitions of ``size`` with at most ``parts`` parts, padded with zeros to ``parts`` entries."""
+    def fill(rest, largest, slots):
+        if slots == 0:
+            if rest == 0:
+                yield ()
+            return
+        for first in range(min(rest, largest), -1, -1):
+            for tail in fill(rest - first, first, slots - 1):
+                yield (first,) + tail
+
+    return list(fill(size, size, parts))
+
+
+def gl_pairs(n):
+    return [(lam, mu) for size in range(KOSTKA_SIZE + 1)
+            for lam in partitions_of(size, n) for mu in partitions_of(size, n)]
+
+
+def tableaux(shape, content):
+    """The semistandard tableaux of ``shape`` and ``content``, as tuples of rows.
+
+    The cells holding letters <= i form a shape nu_i, and nu_i / nu_(i-1) is a horizontal strip of
+    content[i - 1] cells: nu_(i-1)_j lies between nu_i_(j+1) and nu_i_j in every row j.
+    """
+    def grow(inner, letter):
+        if letter > len(content):
+            if inner == shape:
+                yield ()
+            return
+        for outer in itertools.product(*(range(inner[j], (inner[j - 1] if j else shape[0]) + 1)
+                                          for j in range(len(shape)))):
+            if all(o <= s for o, s in zip(outer, shape)) and sum(outer) - sum(inner) == content[letter - 1]:
+                for rest in grow(outer, letter + 1):
+                    yield ((inner, outer),) + rest
+
+    found = []
+    for chain in grow((0,) * len(shape), 1):
+        rows = [[] for _ in shape]
+        for letter, (inner, outer) in enumerate(chain, 1):
+            for j, row in enumerate(rows):
+                row.extend([letter] * (outer[j] - inner[j]))
+        found.append(tuple(tuple(row) for row in rows))
+    return found
+
+
+def charge(word):
+    """Lascoux-Schutzenberger charge of a word of partition content.
+
+    From the right end, read leftward cyclically for a 1, then a 2, ..., up to the largest letter:
+    that is a standard subword, whose charge adds the index of each letter, where 1 has index 0 and
+    r + 1 has the index of r, plus one if the reading wrapped around (r + 1 lies to the right of r).
+    Remove the subword and repeat.
+    """
+    word = list(word)
+    total = 0
+    while word:
+        positions, at = [], len(word)
+        for letter in range(1, max(word) + 1):
+            at = next(p for p in itertools.chain(range(at - 1, -1, -1), range(len(word) - 1, at - 1, -1))
+                      if word[p] == letter)
+            positions.append(at)
+        index = 0
+        for before, after in zip(positions, positions[1:]):
+            index += after > before
+            total += index
+        word = [x for p, x in enumerate(word) if p not in positions]
+    return total
+
+
+def charge_sum(lam, mu):
+    """sum over tableaux T of shape lam and content mu of t^charge(T), t = q^-1; the reading word runs
+    through the rows from the bottom one up, each left to right."""
+    total = LaurentPoly.zero()
+    for rows in tableaux(tuple(x for x in lam if x), mu):
+        total = total + LaurentPoly.q_power(-charge([x for row in reversed(rows) for x in row]))
+    return total
+
+
+def kostka_from_traces(n, trace):
+    """{(lam, mu): K_{lam,mu}(t)} over ``gl_pairs(n)``, from ``trace(theta)`` on the root system A_(n-1)."""
+    rs = root_system("A", n - 1)
+    rho = tuple(range(n - 1, -1, -1))
+    c, p_t = {}, {}
+
+    def kostant_t(gamma):
+        # P_t(gamma) = sum over theta <= gamma of c_theta p(gamma - theta), c_theta = q^-<rho,theta> trace(theta)
+        if gamma not in p_t:
+            total = LaurentPoly.zero()
+            for theta in coordinate_box(gamma):
+                if theta not in c:
+                    c[theta] = LaurentPoly.q_power(-height(theta)) * trace(theta)
+                total = total + count_partitions(rs, tuple(g - x for g, x in zip(gamma, theta))) * c[theta]
+            p_t[gamma] = total
+        return p_t[gamma]
+
+    out = {}
+    for lam, mu in gl_pairs(n):
+        total = LaurentPoly.zero()
+        for perm in itertools.permutations(range(n)):
+            sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+            eps = [lam[perm[i]] + rho[perm[i]] - mu[i] - rho[i] for i in range(n)]
+            gamma = tuple(itertools.accumulate(eps))[:-1]  # the last partial sum is |lam| - |mu| = 0
+            if min(gamma, default=0) >= 0:
+                total = total + sign * kostant_t(gamma)
+        out[lam, mu] = total
+    return out
+
+
+def dominates(lam, mu):
+    return all(a >= b for a, b in zip(itertools.accumulate(lam), itertools.accumulate(mu)))
+
+
+def test_charge_sum_closed_forms():
+    # Macdonald III.6, with t = q^-1 (the top degree is n(mu) - n(lam)): the tableaux and the charge alone
+    t = LaurentPoly.q_power(-1)
+    assert charge_sum((2, 1, 0), (1, 1, 1)) == t + t * t
+    assert charge_sum((3, 1, 0, 0), (2, 1, 1, 0)) == t + t * t
+    assert charge_sum((2, 2, 0, 0), (2, 1, 1, 0)) == t
+    assert charge_sum((4, 0, 0, 0), (2, 2, 0, 0)) == t ** 2
+    assert charge_sum((2, 2, 0, 0), (1, 1, 1, 1)) == t ** 2 + t ** 4
+    assert charge_sum((2, 1, 1, 0), (1, 1, 1, 1)) == t + t ** 2 + t ** 3
+    # every pair: K_{lam,mu} != 0 exactly when lam dominates mu, K_{lam,lam} = 1, and for mu = (1^k)
+    # the sum over lam of K_{lam,mu}(1)^2 is k! (the Robinson-Schensted correspondence)
+    pairs = [pair for n in (2, 3, 4) for pair in gl_pairs(n)]
+    assert len(pairs) == 306 and sum(dominates(lam, mu) for lam, mu in pairs) == 183
+    for lam, mu in pairs:
+        value = charge_sum(lam, mu)
+        assert bool(value) == dominates(lam, mu)
+        assert lam != mu or value == LaurentPoly.one()
+    for size in range(5):
+        ones = (1,) * size + (0,) * (4 - size)
+        squares = [charge_sum(lam, ones).eval_at_one() ** 2 for lam in partitions_of(size, 4)]
+        assert sum(squares) == math.factorial(size)
+
+
+@pytest.mark.parametrize("name", ["kostant", "series", "oracle"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kostka_foulkes_is_the_charge_sum(n, name):
+    # w(lam + rho) <= lam + rho, so no gamma is taller than lam - mu, of height <= (n - 1) |lam|
+    kostka = kostka_from_traces(n, route(root_system("A", n - 1), name, (n - 1) * KOSTKA_SIZE))
+    for (lam, mu), value in kostka.items():
+        assert value == charge_sum(lam, mu), (lam, mu)
+
+
+def test_q_minus_three_at_the_first_simple_coroot_is_caught():
+    changed = 0
+    for n in (3, 4):
+        rs = root_system("A", n - 1)
+        simple = rs.positive_coroots[0]
+
+        def corrupted(theta):
+            return trace_kostant_sum(rs, theta) + (LaurentPoly.q_power(-3) if theta == simple else 0)
+
+        kostka = kostka_from_traces(n, corrupted)
+        changed += sum(value != charge_sum(lam, mu) for (lam, mu), value in kostka.items())
+    assert changed > 0
