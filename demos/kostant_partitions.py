@@ -9,7 +9,6 @@ from bernasym import (
     count_partitions,
     coweights_up_to_height,
     enumerate_partitions,
-    enumerate_simple_partitions,
     partition_to_json,
     root_system,
 )
@@ -29,7 +28,7 @@ for part in enumerate_partitions(b2, theta):
 print(f"\ncount_partitions agrees: {count_partitions(b2, theta)} partitions")
 
 # The simple family: every multiplicity equal to one.
-simple = enumerate_simple_partitions(b2, theta)
+simple = [part for part in enumerate_partitions(b2, theta) if part.is_simple]
 print(f"simple partitions of {theta}: {len(simple)}")
 
 # The counting identity behind the trace formula's regrouping:
@@ -41,7 +40,7 @@ for theta in coweights_up_to_height(2, 4):
     lhs = 0
     for t2 in itertools.product(range(theta[0] + 1), range(theta[1] + 1)):
         t1 = (theta[0] - t2[0], theta[1] - t2[1])
-        lhs += count_partitions(b2, t1) * len(enumerate_simple_partitions(b2, t2))
+        lhs += count_partitions(b2, t1) * sum(k.is_simple for k in enumerate_partitions(b2, t2))
     rhs = sum(2 ** len(k.support) for k in enumerate_partitions(b2, theta))
     assert lhs == rhs
 print("\n(K, S) regrouping identity holds for all B2 coweights of height <= 4")

@@ -7,15 +7,7 @@ Coweights live in the simple-coroot basis: the tuple (2, 1) means
 
 import json
 
-from bernasym import (
-    ParabolicType,
-    RootSystemSpec,
-    build_root_system,
-    height,
-    levi_subsystem,
-    root_system,
-    root_system_to_json,
-)
+from bernasym import RootSystemSpec, build_root_system, height, root_system, root_system_to_json
 
 # A named series: G2 has six positive coroots, the largest of height 5.
 g2 = root_system("G", 2)
@@ -31,12 +23,6 @@ print(f"\n<rho, {theta}> = {height(theta)}")
 spec = RootSystemSpec(cartan=((2, -1), (-2, 2)), label="my-b2")
 b2 = build_root_system(spec)
 print(f"\n{b2.name}: {len(b2.positive_coroots)} positive coroots -> {b2.positive_coroots}")
-
-# Levi subsystems restrict the Cartan matrix to a subset of vertices.
-a3 = root_system("A", 3)
-levi = levi_subsystem(a3, ParabolicType((0, 2)))
-print(f"\nLevi of A3 on vertices {{0, 2}}: {levi.name}")
-print(f"  coroots {levi.positive_coroots}  (an A1 x A1)")
 
 # Summaries serialize to JSON for golden files and the CLI.
 print("\nA2 summary:")

@@ -8,7 +8,6 @@ the codimension of a defect stratum is twice the defect's height.
 
 from bernasym import (
     ParabolicType,
-    codim_defect,
     defect_poset,
     enumerate_local_strata,
     enumerate_parabolic_strata,
@@ -23,15 +22,15 @@ for stratum in enumerate_parabolic_strata(a2):
     print(f"  I_M = {stratum.levi_vertices!s:<8} c_P = {stratum.canonical_point}{kind}")
 
 theta = (1, 1)
-strata = enumerate_local_strata(a2, ParabolicType.borel(), theta)
+strata = enumerate_local_strata(a2, ParabolicType(), theta)
 print(f"\nlocal strata over theta = {theta}: {len(strata)} ordered triples")
 for s in strata:
     print(f"  {s.parts[0]} + {s.parts[1]} + {s.parts[2]}   defect {s.defect}")
 
-print(f"\ncodim of the defect-{theta} stratum: {codim_defect(a2, theta)}")
+print(f"\ncodim of the defect-{theta} stratum: twice its height, {2 * sum(theta)}")
 
 # The defect poset on a height-bounded box, with covering relations.
-poset = defect_poset(a2, ParabolicType.borel(), 2)
+poset = defect_poset(a2, ParabolicType(), 2)
 print(f"\ndefect poset up to height 2: {len(poset.elements)} elements, "
       f"{len(poset.covers)} covers")
 print("\nDOT rendering (paste into graphviz):")

@@ -29,8 +29,6 @@ from .cartan import (
     build_root_system,
     coweights_up_to_height,
     height,
-    leq,
-    levi_subsystem,
     root_system,
     root_system_from_json,
     root_system_to_json,
@@ -39,7 +37,6 @@ from .kostant import (
     KostantPartition,
     count_partitions,
     enumerate_partitions,
-    enumerate_simple_partitions,
     partition_from_json,
     partition_to_json,
 )
@@ -48,7 +45,6 @@ from .strata import (
     DefectPoset,
     DefectStratumIndex,
     ParabolicStratum,
-    codim_defect,
     defect_poset,
     enumerate_local_strata,
     enumerate_parabolic_strata,
@@ -74,7 +70,6 @@ __all__ = [
     "asymp_table_from_json",
     "build_asymp_table",
     "build_root_system",
-    "codim_defect",
     "count_partitions",
     "coweights_up_to_height",
     "defect_poset",
@@ -82,11 +77,8 @@ __all__ = [
     "enumerate_local_strata",
     "enumerate_parabolic_strata",
     "enumerate_partitions",
-    "enumerate_simple_partitions",
     "gk_product_series",
     "height",
-    "leq",
-    "levi_subsystem",
     "parse_divisor",
     "partition_from_json",
     "partition_to_json",

@@ -1,9 +1,8 @@
 """Root-system engine for finite Cartan data.
 
 Builds the positive coroots of any finite-type Cartan matrix (named series
-A-G or an explicit matrix), computes heights and the rho-pairing, restricts
-to Levi subsystems, and checks coweights of the quotient lattice attached to
-a standard parabolic.
+A-G or an explicit matrix), computes heights and the rho-pairing, and checks
+coweights of the quotient lattice attached to a standard parabolic.
 
 Conventions
 -----------
@@ -19,7 +18,6 @@ Conventions
 from __future__ import annotations
 
 import itertools
-import re
 from typing import Iterable, Sequence
 
 Coweight = tuple[int, ...]
@@ -190,17 +188,6 @@ def series_cartan(series: str, rank: int) -> CartanMatrix:
     return tuple(tuple(row) for row in m)
 
 
-CLOSED_FORM_COUNTS = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-    "F": lambda n: 24,
-    "G": lambda n: 6,
-}
-
-
 # ---------------------------------------------------------------------------
 # Specs and construction
 # ---------------------------------------------------------------------------
@@ -209,9 +196,10 @@ CLOSED_FORM_COUNTS = {
 class Value:
     """Immutable value: its fields are its ``__slots__``, each set once by ``Value.__init__``.
 
-    ``Value.__init__`` takes every field, by position in slot order or by name; a missing, extra or unknown
-    field raises TypeError.  ``__reduce__`` gives (class, fields): equality and hash compare it, copy and
-    pickle rebuild from it.  The repr is ``Name(field=value, ...)``; assigning a field raises AttributeError.
+    A slot named ``_x`` holds the field ``x``.  ``Value.__init__`` takes every field, by position in slot order
+    or by field name; a missing, extra or unknown field raises TypeError.  ``__reduce__`` gives (class, fields):
+    equality and hash compare it, copy and pickle rebuild from it.  The repr is the constructor call
+    ``Name(field=value, ...)``; assigning a field raises AttributeError.
     """
 
     __slots__ = ()
@@ -224,9 +212,10 @@ class Value:
             for name, value in zip(slots, values):
                 object.__setattr__(self, name, value)
             for name in slots[len(values):]:
-                object.__setattr__(self, name, fields[name])
+                object.__setattr__(self, name, fields[name.removeprefix("_")])
         except KeyError:  # the count is off, or a field is not named
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(slots)}, each once") from None
+            names = ", ".join(name.removeprefix("_") for name in slots)
+            raise TypeError(f"{type(self).__name__} takes the fields {names}, each once") from None
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
@@ -238,7 +227,8 @@ class Value:
         return hash(self.__reduce__())
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+        fields = ", ".join(f"{name.removeprefix('_')}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
@@ -277,8 +267,7 @@ class RootSystemSpec(Value):
 class RootSystem(Value):
     """Finite root datum: Cartan matrix plus the generated positive coroots.
 
-    ``labels`` are the vertex names (0-based positions of the original index
-    set; Levi subsystems keep the labels of the vertices they came from).
+    ``labels`` are the vertex names (0-based positions of the index set).
     ``positive_coroots`` are strictly sorted by (height, lexicographic
     coordinates), and their height-1 entries are exactly the ``rank`` unit
     vectors (the simple coroots); every route's pruning relies on that order.
@@ -305,18 +294,14 @@ class RootSystem(Value):
         """dim G for the simply connected semisimple group of this type."""
         return self.rank + 2 * len(self.positive_coroots)
 
-    def coroot_index(self) -> dict[Coweight, int]:
-        return {b: i for i, b in enumerate(self.positive_coroots)}
-
-    def check_coweight(self, theta: Sequence[int]) -> Coweight:
-        if len(theta) != self.rank:
-            raise ValueError(f"coweight has length {len(theta)}, expected rank {self.rank}")
-        return check_integers(theta)
-
     def check_positive_coweight(self, theta: Sequence[int]) -> Coweight:
         """theta as an int tuple of length rank with every coordinate >= 0, else a ValueError."""
-        theta = self.check_coweight(theta)
-        if not is_positive(theta):
+        theta = tuple(theta)  # built-ins in one frame: every table checks each of its thetas here
+        if len(theta) != len(self.cartan):
+            raise ValueError(f"coweight has length {len(theta)}, expected rank {self.rank}")
+        if not {int}.issuperset(map(type, theta)):
+            raise ValueError(f"coweight {theta} has a coordinate that is not an integer")
+        if theta and min(theta) < 0:
             raise ValueError(f"theta {theta} is not positive (all coordinates must be >= 0)")
         return theta
 
@@ -367,21 +352,17 @@ def root_system(series: str, rank: int) -> RootSystem:
 
 
 # ---------------------------------------------------------------------------
-# Parabolics and the partial order
+# Parabolics
 # ---------------------------------------------------------------------------
 
 
 class ParabolicType(Value):
-    """A standard parabolic, encoded by its Levi vertices (0-based positions)."""
+    """A standard parabolic, encoded by its Levi vertices (0-based positions); ``ParabolicType()`` is the Borel."""
 
     __slots__ = ("levi_vertices",)
 
     def __init__(self, levi_vertices: Sequence[int] = ()) -> None:
         super().__init__(tuple(sorted(set(check_integers(levi_vertices, "Levi vertex list")))))
-
-    @staticmethod
-    def borel() -> "ParabolicType":
-        return ParabolicType(())
 
     def validate(self, rs: RootSystem) -> None:
         for v in self.levi_vertices:
@@ -402,24 +383,6 @@ def check_quotient_coweight(rs: RootSystem, p: ParabolicType, theta: Sequence[in
             f" (rank {rs.rank} minus {len(p.levi_vertices)} Levi vertices)"
         )
     return check_integers(theta, "quotient coweight")
-
-
-def leq(rs: RootSystem, p: ParabolicType, a: Sequence[int], b: Sequence[int]) -> bool:
-    """Partial order on the quotient: b - a has all coordinates >= 0."""
-    a = check_quotient_coweight(rs, p, a)
-    b = check_quotient_coweight(rs, p, b)
-    return all(y - x >= 0 for x, y in zip(a, b))
-
-
-def levi_subsystem(rs: RootSystem, p: ParabolicType) -> RootSystem:
-    """Root system of the Levi: the Cartan submatrix on the Levi vertices."""
-    p.validate(rs)
-    verts = p.levi_vertices
-    if not verts:
-        raise ValueError("the Levi of the Borel is a torus; no root system to build")
-    sub = tuple(tuple(rs.cartan[i][j] for j in verts) for i in verts)
-    labels = tuple(rs.labels[i] for i in verts)
-    return _from_cartan(f"{rs.name}-levi({','.join(str(v) for v in verts)})", sub, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -476,22 +439,4 @@ def root_system_from_json(obj: dict) -> RootSystem:
     if tuple(tuple(b) for b in obj["positive_coroots"]) != rs.positive_coroots:
         raise ValueError(f"positive_coroots of {rs.name!r} differ from those its Cartan matrix generates")
     return rs
-
-
-def parse_key_values(text: str) -> dict[str, str]:
-    """Parse `key=value` tokens, several per line, spaces allowed around `=`; `#` starts a comment line.
-
-    A value cannot contain whitespace or `=`; later keys override earlier ones.
-    """
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        for token in re.sub(r"\s*=\s*", "=", line).split():
-            key, sep, value = token.partition("=")
-            if not sep or not key or "=" in value:
-                raise ValueError(f"expected key=value tokens, got {token!r}")
-            fields[key] = value
-    return fields
 

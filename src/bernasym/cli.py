@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .asymptotics import (
@@ -26,7 +27,6 @@ from .cartan import (
     RootSystem,
     RootSystemSpec,
     build_root_system,
-    parse_key_values,
 )
 from .kostant import count_cache_load, count_cache_save
 from .strata import (
@@ -86,6 +86,24 @@ def build_parser() -> _Parser:
                         help="strata flavor (strata command only)")
     parser.set_defaults(label=None)
     return parser
+
+
+def parse_key_values(text: str) -> dict[str, str]:
+    """Parse `key=value` tokens, several per line, spaces allowed around `=`; `#` starts a comment line.
+
+    A value cannot contain whitespace or `=`; later keys override earlier ones.
+    """
+    fields: dict[str, str] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        for token in re.sub(r"\s*=\s*", "=", line).split():
+            key, sep, value = token.partition("=")
+            if not sep or not key or "=" in value:
+                raise ValueError(f"expected key=value tokens, got {token!r}")
+            fields[key] = value
+    return fields
 
 
 def _config_flag(key: str, value: str) -> str:

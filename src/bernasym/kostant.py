@@ -94,11 +94,6 @@ def enumerate_partitions(rs: RootSystem, theta: Sequence[int]) -> list[KostantPa
     return [KostantPartition(parts=parts, weight=theta) for _, parts in found]
 
 
-def enumerate_simple_partitions(rs: RootSystem, theta: Sequence[int]) -> list[KostantPartition]:
-    """Partitions with every multiplicity equal to 1: subsets of the positive coroots summing to theta."""
-    return [k for k in enumerate_partitions(rs, theta) if k.is_simple]
-
-
 # -- counting (independent dynamic program) ---------------------------------
 
 _COUNT_CACHE: dict[tuple[RootSystem, Coweight], int] = {}
@@ -213,11 +208,11 @@ def partition_to_json(rs: RootSystem, partition: KostantPartition) -> list[list]
 
 
 def partition_from_json(rs: RootSystem, data: Sequence[Sequence]) -> KostantPartition:
-    index = rs.coroot_index()
+    index = {beta: i for i, beta in enumerate(rs.positive_coroots)}
     parts: list[tuple[int, int]] = []
     weight = [0] * rs.rank
     for coords, n in data:
-        beta = rs.check_coweight(coords)
+        beta = rs.check_positive_coweight(coords)
         if beta not in index:
             raise ValueError(f"{beta} is not a positive coroot of {rs.name}")
         if type(n) is not int or n < 1:

@@ -116,10 +116,6 @@ class LaurentPoly:
     def coefficient(self, exponent: int) -> int:
         return self._terms.get(exponent, 0)
 
-    def eval_at_one(self) -> int:
-        """Sum of all coefficients (the specialization q = 1)."""
-        return sum(self._terms.values())
-
     # -- wire format -----------------------------------------------------
 
     def to_pairs(self) -> list[list[int]]:

@@ -2,8 +2,8 @@
 
 Strata are modeled as index data only: the 2^r coordinate strata of the
 completed adjoint torus, the local-model strata triples over a fixed total
-coweight, the codimension-of-defect formula, and the coordinatewise defect
-poset with its covering relations and DOT rendering.
+coweight, and the coordinatewise defect poset with its covering relations and
+DOT rendering (each element labeled with its codimension, twice its height).
 """
 
 from __future__ import annotations
@@ -73,12 +73,6 @@ def enumerate_local_strata(
             part3 = tuple(r - m for r, m in zip(rest, mid))
             out.append(DefectStratumIndex(p.levi_vertices, theta, (part1, mid, part3)))
     return out
-
-
-def codim_defect(rs: RootSystem, theta: Sequence[int]) -> int:
-    """Codimension of the stratum of defect theta: twice the height."""
-    theta = rs.check_positive_coweight(theta)
-    return 2 * height(theta)
 
 
 class DefectPoset(Value):

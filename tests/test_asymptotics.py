@@ -38,10 +38,8 @@ from bernasym.kostant import (
     count_partitions,
     count_region,
     enumerate_partitions,
-    enumerate_simple_partitions,
 )
 from bernasym.qlaurent import LaurentPoly
-from bernasym.strata import codim_defect
 
 ONE = LaurentPoly.one()
 ONE_MINUS_Q = LaurentPoly({0: 1, 1: -1})
@@ -92,14 +90,12 @@ def routes_follow_the_table(monkeypatch, seen):
     "check",
     [
         enumerate_partitions,
-        enumerate_simple_partitions,
         count_partitions,
         trace_kostant_sum,
         lambda rs, theta: trace_from_series(gk_product_series(rs, 2), rs, theta),
         trace_grothendieck_oracle,
-        codim_defect,
     ],
-    ids=["enumerate", "enumerate_simple", "count", "kostant_sum", "series", "oracle", "codim"],
+    ids=["enumerate", "count", "kostant_sum", "series", "oracle"],
 )
 @pytest.mark.parametrize(
     "theta",
@@ -492,7 +488,7 @@ class TestOracleTriangle:
     def test_q_one_vanishing(self, series, rank):
         rs = root_system(series, rank)
         for theta in coweights_up_to_height(rank, 5):
-            value = trace_kostant_sum(rs, theta).eval_at_one()
+            value = sum(c for _, c in trace_kostant_sum(rs, theta).to_pairs())
             assert value == (1 if height(theta) == 0 else 0)
 
     @pytest.mark.parametrize("series,rank", [("A", 3), ("B", 2)])

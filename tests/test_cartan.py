@@ -12,14 +12,16 @@ import itertools
 import json
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from closed_forms import CLOSED_FORM_COUNTS, exponents
 
 import bernasym
-from bernasym.asymptotics import AsympTable, ColoredDivisor, GKSeries
+from bernasym.asymptotics import AsympTable, ColoredDivisor, GKSeries, build_asymp_table, gk_product_series
 from bernasym.cartan import (
-    CLOSED_FORM_COUNTS,
     ParabolicType,
     RootSystem,
     RootSystemSpec,
@@ -28,9 +30,6 @@ from bernasym.cartan import (
     check_quotient_coweight,
     coweights_up_to_height,
     height,
-    leq,
-    levi_subsystem,
-    parse_key_values,
     positive_roots_of,
     root_system,
     root_system_from_json,
@@ -38,8 +37,10 @@ from bernasym.cartan import (
     series_cartan,
     validate_cartan_matrix,
 )
+from bernasym.cli import parse_key_values
 from bernasym.kostant import KostantPartition
-from bernasym.strata import DefectPoset, DefectStratumIndex, ParabolicStratum
+from bernasym.qlaurent import LaurentPoly
+from bernasym.strata import DefectPoset, DefectStratumIndex, ParabolicStratum, enumerate_local_strata
 
 
 def positive_roots_by_strings(cartan) -> set[tuple[int, ...]]:
@@ -205,25 +206,17 @@ class TestValidation:
 
     @pytest.mark.parametrize("series,rank", SERIES_UNDER_TEST)
     def test_generated_coroots_accepted(self, series, rank):
-        # the coroots that _from_cartan generates, those of every Levi subsystem, and a pickled copy
+        # the coroots that _from_cartan generates, and a pickled copy
         rs = root_system(series, rank)
         assert pickle.loads(pickle.dumps(rs)) == rs
-        for size in range(1, rank + 1):
-            for verts in itertools.combinations(range(rank), size):
-                levi = levi_subsystem(rs, ParabolicType(verts))
-                assert pickle.loads(pickle.dumps(levi)) == levi
 
 
-def fraction_verdict(matrix) -> str:
-    """Reference finite-type check on a matrix with 2s on the diagonal and entries <= 0 off it.
+def symmetrizer(matrix) -> list[Fraction] | None:
+    """Positive d with d_i a_ij = d_j a_ji, d = 1 at the first vertex of each component; None if there is none.
 
-    Zero symmetry, then a symmetrizer d in Fraction arithmetic, then Sylvester's
-    criterion for DA by Fraction Gaussian elimination; the verdict names the
-    first check that fails, or is "finite".
+    The matrix has 2s on the diagonal, entries <= 0 off it and zero symmetry.
     """
     n = len(matrix)
-    if any((matrix[i][j] == 0) != (matrix[j][i] == 0) for i in range(n) for j in range(n)):
-        return "zero symmetry"
     d: list[Fraction | None] = [None] * n
     for start in range(n):
         if d[start] is not None:
@@ -240,7 +233,23 @@ def fraction_verdict(matrix) -> str:
                     d[j] = required
                     queue.append(j)
                 elif d[j] != required:
-                    return "not symmetrizable"
+                    return None
+    return d
+
+
+def fraction_verdict(matrix) -> str:
+    """Reference finite-type check on a matrix with 2s on the diagonal and entries <= 0 off it.
+
+    Zero symmetry, then a symmetrizer d in Fraction arithmetic, then Sylvester's
+    criterion for DA by Fraction Gaussian elimination; the verdict names the
+    first check that fails, or is "finite".
+    """
+    n = len(matrix)
+    if any((matrix[i][j] == 0) != (matrix[j][i] == 0) for i in range(n) for j in range(n)):
+        return "zero symmetry"
+    d = symmetrizer(matrix)
+    if d is None:
+        return "not symmetrizable"
     m = [[d[i] * matrix[i][j] for j in range(n)] for i in range(n)]
     for k in range(n):
         if m[k][k] <= 0:
@@ -306,6 +315,92 @@ class TestFiniteTypeCrossCheck:
     )
     def test_infinite_type_rejected(self, matrix):
         assert fraction_verdict(matrix) == integer_verdict(matrix) == "not of finite type"
+
+
+def heights_follow_exponents(coroots, series, rank) -> bool:
+    """Distinct coroots, and #{coroots of height k} = #{i : m_i >= k} for every k >= 1.
+
+    The height distribution of the positive roots is dual to the exponents m_i
+    (Kostant, "The principal three-dimensional subgroup and the Betti numbers
+    of a complex simple Lie group", Amer. J. Math. 81, 1959); a root system and
+    its dual have the same exponents.
+    """
+    m = exponents(series, rank)
+    expected = Counter({k: sum(x >= k for x in m) for k in range(1, max(m) + 1)})
+    return len(set(coroots)) == len(coroots) and Counter(sum(beta) for beta in coroots) == expected
+
+
+def norm_criterion_failures(cartan, coroots) -> list:
+    """The listed coroots that are not positive coroots by the norm criterion of the transpose's form.
+
+    The coroots are the roots of the transpose T, with T_ij = 2 (a_i, a_j) / (a_i, a_i) for its simple
+    roots a_i.  Integers d_i > 0 with d_i T_ij = d_j T_ji are proportional to (a_i, a_i) on a connected
+    diagram, so G_ij = d_i T_ij is a positive multiple of the Gram matrix; on a disconnected one the
+    factor differs between components, and the norms of two components cannot be compared.
+
+    Criterion (cf. Kac, *Infinite-Dimensional Lie Algebras*, ch. 5, real roots): a nonzero v >= 0 is a
+    positive root iff v_i (a_i, a_i) / (v, v) is an integer for every i, and then (v, v) is some
+    (a_j, a_j), since W moves every root to a simple one.  Both conditions are checked.  Proof that the
+    integers suffice, for a positive-definite form: they are the coordinates of v' = 2v / (v, v) in the
+    coroot basis, so v' lies in the coroot lattice, which every s_i keeps.  A multiple k a_i has 1/k
+    there, so it is a_i.  Otherwise (v, v) = sum_i v_i (v, a_i) > 0 gives an i with v_i > 0 and
+    (v, a_i) > 0, and the integers n = 2 (v, a_i) / (a_i, a_i) and m = 2 (v, a_i) / (v, v) have
+    nm < 4 by Cauchy-Schwarz, so one of them is 1.  If n = 1, s_i v = v - a_i >= 0.  If m = 1,
+    n = (v, v) / (a_i, a_i) and v_i / n is an integer, so s_i v = v - n a_i >= 0.  Either way s_i v
+    has the same property and a smaller height, so by induction it is a positive root, and so is v.
+    """
+    n = len(cartan)
+    transpose = [[cartan[j][i] for j in range(n)] for i in range(n)]
+    d = symmetrizer(transpose)
+    scale = lcm(*(x.denominator for x in d))
+    gram = [[int(d[i] * scale) * transpose[i][j] for j in range(n)] for i in range(n)]
+    norms = {gram[i][i] for i in range(n)}
+    failures = []
+    for v in coroots:
+        norm = sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+        if norm not in norms or any(v[i] * gram[i][i] % norm for i in range(n)):
+            failures.append(v)
+    return failures
+
+
+CONNECTED_UP_TO_RANK_6 = ([("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 7)]
+                          + [("C", r) for r in range(2, 7)] + [("D", r) for r in range(3, 7)]
+                          + [("E", 6), ("F", 4), ("G", 2)])
+
+
+class TestCorootList:
+    """Checks of the one input every route shares, by code that shares nothing with positive_roots_of.
+
+    Where both run, the coroots are distinct and each passes the norm
+    criterion, so they are positive coroots, and the height distribution
+    fixes how many there are: together the two checks fix the exact set.
+    """
+
+    @pytest.mark.parametrize("series,rank", [(s, r) for s, low in zip("ABCD", (1, 2, 2, 2)) for r in range(low, 17)]
+                             + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+    def test_heights_follow_exponents(self, series, rank):
+        assert heights_follow_exponents(root_system(series, rank).positive_coroots, series, rank)
+
+    @pytest.mark.parametrize("series,rank", CONNECTED_UP_TO_RANK_6)
+    def test_norm_criterion(self, series, rank):
+        rs = root_system(series, rank)
+        assert norm_criterion_failures(rs.cartan, rs.positive_coroots) == []
+
+    def test_norm_criterion_rejects_non_roots(self):
+        # twice a coroot has four times its norm; v = (1, 2, 3, 2) in B4 has the norm of the long simple
+        # coroot, but v_0 (a_0, a_0) / (v, v) = 1/2
+        b4 = root_system("B", 4)
+        wrong = [tuple(2 * x for x in beta) for beta in b4.positive_coroots] + [(1, 2, 3, 2)]
+        assert norm_criterion_failures(b4.cartan, wrong) == wrong
+
+    def test_mutated_e6_lists_fail(self):
+        e6 = root_system("E", 6)
+        coroots = list(e6.positive_coroots)
+        swapped = [(3, 0, 0, 0, 0, 0) if beta == (0, 0, 0, 1, 1, 1) else beta for beta in coroots]
+        assert swapped != coroots and heights_follow_exponents(swapped, "E", 6)  # the swap keeps every height
+        assert norm_criterion_failures(e6.cartan, swapped) == [(3, 0, 0, 0, 0, 0)]
+        for k in range(len(coroots)):
+            assert not heights_follow_exponents(coroots[:k] + coroots[k + 1:], "E", 6)
 
 
 def rho_in_root_coords(rs: RootSystem) -> tuple[Fraction, ...]:
@@ -374,6 +469,12 @@ VALUE_MAKERS = {
                                                      parts=((0, 0), (1, 0), (0, 0))),
     "DefectPoset": lambda: DefectPoset(elements=((0,), (1,)), covers=(((0,), (1,)),), bound=1),
 }
+#: a value of every class, also those whose dict field makes them unhashable
+REPR_MAKERS = {
+    **VALUE_MAKERS,
+    "AsympTable": lambda: build_asymp_table(root_system("A", 2), 2, genus=1),
+    "GKSeries": lambda: gk_product_series(root_system("A", 2), 2),
+}
 
 
 def value_classes() -> list[type]:
@@ -434,7 +535,7 @@ class TestValueSemantics:
     def test_wrong_field_set_raises_type_error(self, cls):
         # unchecked, GKSeries() builds an object whose repr raises AttributeError, and
         # GKSeries({}, "extra") drops "extra" without a word
-        slots = cls.__slots__
+        slots = [name.removeprefix("_") for name in cls.__slots__]  # the field names
         calls = {
             "missing by position": lambda: cls(*range(len(slots) - 1)),
             "missing by name": lambda: cls(**{name: 0 for name in slots[1:]}),
@@ -484,6 +585,20 @@ class TestValueSemantics:
         assert ParabolicType((0,)) != ((0,),)
         assert root_system("A", 1) != "A1"
 
+    @pytest.mark.parametrize("cls", value_classes(), ids=lambda cls: cls.__name__)
+    def test_repr_is_a_constructor_call(self, cls):
+        value = REPR_MAKERS[cls.__name__]()
+        namespace = {kind.__name__: kind for kind in value_classes()} | {"LaurentPoly": LaurentPoly}
+        assert type(value) is cls and eval(repr(value), namespace) == value
+
+    def test_private_slot_is_named_as_its_field(self):
+        # the slot _terms holds the field terms: the keyword, the repr and the error all say terms
+        series = REPR_MAKERS["GKSeries"]()
+        assert GKSeries(terms=series.__reduce__()[1][0]) == series and repr(series).startswith("GKSeries(terms={")
+        with pytest.raises(TypeError, match="GKSeries takes the fields terms, each once"):
+            GKSeries(_terms={})
+        assert "entries={(0, 0): LaurentPoly({0: 1})," in repr(REPR_MAKERS["AsympTable"]())
+
     def test_repr(self):
         assert repr(ParabolicType((2, 0))) == "ParabolicType(levi_vertices=(0, 2))"
         assert repr(root_system("A", 1)) == (
@@ -495,35 +610,12 @@ class TestValueSemantics:
 
 
 class TestQuotient:
-    def test_leq_reflexive(self):
+    def test_wrong_quotient_length_rejected(self):
         rs = root_system("A", 2)
-        assert leq(rs, ParabolicType.borel(), (0, 0), (0, 0))
-
-    def test_leq_examples(self):
-        rs = root_system("A", 2)
-        b = ParabolicType.borel()
-        assert leq(rs, b, (0, 1), (1, 1))
-        assert not leq(rs, b, (2, 0), (1, 1))
-
-    def test_leq_is_partial_order_on_box(self):
-        rs = root_system("A", 2)
-        b = ParabolicType.borel()
-        box = list(itertools.product(range(3), repeat=2))
-        for x in box:
-            assert leq(rs, b, x, x)
-            for y in box:
-                if leq(rs, b, x, y) and leq(rs, b, y, x):
-                    assert x == y
-                for z in box:
-                    if leq(rs, b, x, y) and leq(rs, b, y, z):
-                        assert leq(rs, b, x, z)
-
-    def test_leq_mismatched_lengths_rejected(self):
-        rs = root_system("A", 2)
-        with pytest.raises(ValueError):
-            leq(rs, ParabolicType.borel(), (1,), (1, 1))
-        with pytest.raises(ValueError):
-            leq(rs, ParabolicType((0,)), (1, 1), (1, 1))
+        with pytest.raises(ValueError, match="expected 2"):
+            enumerate_local_strata(rs, ParabolicType(), (1,))
+        with pytest.raises(ValueError, match=r"expected 1 \(rank 2 minus 1 Levi vertices\)"):
+            enumerate_local_strata(rs, ParabolicType((0,)), (1, 1))
 
     @pytest.mark.parametrize("vertices", [(1.5,), (0, 1.0), (True,)], ids=["fractional", "float", "boolean"])
     def test_non_integer_levi_vertex_rejected(self, vertices):
@@ -537,51 +629,8 @@ class TestQuotient:
 
     def test_bad_vertex_rejected(self):
         rs = root_system("A", 2)
-        with pytest.raises(ValueError):
-            leq(rs, ParabolicType((5,)), (0,), (0,))
-
-
-class TestLevi:
-    def test_a3_disconnected_levi(self):
-        rs = root_system("A", 3)
-        levi = levi_subsystem(rs, ParabolicType((0, 2)))
-        assert len(levi.positive_coroots) == 2
-        assert levi.labels == (0, 2)
-
-    def test_a2_single_vertex(self):
-        levi = levi_subsystem(root_system("A", 2), ParabolicType((0,)))
-        assert levi.positive_coroots == ((1,),)
-
-    def test_a3_connected_levi(self):
-        levi = levi_subsystem(root_system("A", 3), ParabolicType((0, 1)))
-        assert len(levi.positive_coroots) == 3
-
-    def test_empty_levi_rejected(self):
-        with pytest.raises(ValueError):
-            levi_subsystem(root_system("A", 2), ParabolicType.borel())
-
-    @pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3), ("C", 4), ("D", 4), ("G", 2)])
-    def test_full_levi_bijection(self, series, rank):
-        # the full Levi reproduces the coroots supported on the chosen vertices,
-        # height for height
-        rs = root_system(series, rank)
-        full = levi_subsystem(rs, ParabolicType(tuple(range(rank))))
-        assert set(full.positive_coroots) == set(rs.positive_coroots)
-        for verts in itertools.combinations(range(rank), 2):
-            levi = levi_subsystem(rs, ParabolicType(verts))
-            embedded = set()
-            for b in levi.positive_coroots:
-                vec = [0] * rank
-                for pos, value in zip(verts, b):
-                    vec[pos] = value
-                assert height(tuple(vec)) == height(b)  # embedding preserves height
-                embedded.add(tuple(vec))
-            supported = {
-                b
-                for b in rs.positive_coroots
-                if all(b[i] == 0 for i in range(rank) if i not in verts)
-            }
-            assert embedded == supported
+        with pytest.raises(ValueError, match="Levi vertex 5 is out of range for rank 2"):
+            enumerate_local_strata(rs, ParabolicType((5,)), (0,))
 
 
 class TestEnumeration:

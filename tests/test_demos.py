@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,14 @@ def test_star_import_binds_every_public_name():
     exec("from bernasym import *", namespace)
     assert set(bernasym.__all__) <= set(namespace)
     assert not {"MonoidSeries", "geometric_factor"} & set(namespace)
+
+
+def test_readme_names_every_public_name():
+    # a public name needs a documented user: each one appears in README.md as code, `name` or `name(...)`
+    import bernasym
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert [name for name in bernasym.__all__ if not re.search(rf"`{re.escape(name)}\b", readme)] == []
 
 
 def test_readme_quickstart_runs(capsys):

@@ -15,12 +15,16 @@ from bernasym.kostant import (
     count_partitions,
     count_region,
     enumerate_partitions,
-    enumerate_simple_partitions,
     partition_from_json,
     partition_to_json,
 )
 
 SWEEP = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)]
+
+
+def simple_partitions(rs, theta):
+    """The partitions of theta with every multiplicity 1, by the ``is_simple`` filter."""
+    return [k for k in enumerate_partitions(rs, theta) if k.is_simple]
 
 
 def as_coroot_multiset(rs, partition):
@@ -116,7 +120,7 @@ class TestEnumeration:
                               for k in range(rank))]
             expected = [tuple((i, m) for i, m in enumerate(n) if m) for n in vectors]
             assert [k.parts for k in enumerate_partitions(rs, theta)] == expected, theta
-            assert [k.parts for k in enumerate_simple_partitions(rs, theta)] == [
+            assert [k.parts for k in simple_partitions(rs, theta)] == [
                 parts for parts, n in zip(expected, vectors) if max(n) <= 1
             ], theta
             assert count_partitions(rs, theta) == len(vectors), theta
@@ -138,8 +142,6 @@ class TestEnumeration:
             enumerate_partitions(rs, (-1, 0))
         with pytest.raises(ValueError):
             count_partitions(rs, (0, -2))
-        with pytest.raises(ValueError):
-            enumerate_simple_partitions(rs, (-1, -1))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -160,7 +162,7 @@ class TestCounting:
         theta = (1,) * n
         assert count_partitions(rs, theta) == 2 ** (n - 1)
         assert len(enumerate_partitions(rs, theta)) == 2 ** (n - 1)
-        assert len(enumerate_simple_partitions(rs, theta)) == 2 ** (n - 1)
+        assert len(simple_partitions(rs, theta)) == 2 ** (n - 1)
 
     def test_a2_closed_form(self):
         # a partition of (a, b) uses the long coroot k times, for each 0 <= k <= min(a, b)
@@ -269,13 +271,13 @@ class TestCounting:
 
 class TestSimpleFamily:
     def test_a1_two_alpha_has_none(self):
-        assert enumerate_simple_partitions(root_system("A", 1), (2,)) == []
+        assert simple_partitions(root_system("A", 1), (2,)) == []
 
     def test_a2_both_simple(self):
-        assert len(enumerate_simple_partitions(root_system("A", 2), (1, 1))) == 2
+        assert len(simple_partitions(root_system("A", 2), (1, 1))) == 2
 
     def test_zero(self):
-        parts = enumerate_simple_partitions(root_system("A", 2), (0, 0))
+        parts = simple_partitions(root_system("A", 2), (0, 0))
         assert len(parts) == 1 and parts[0].parts == ()
 
     def test_simple_equals_subsets_summing_to_theta(self):
@@ -290,7 +292,7 @@ class TestSimpleFamily:
                 expected = [chosen for chosen in subsets
                             if all(sum(coroots[i][k] for i in chosen) == theta[k] for k in range(rank))]
                 expected.sort(key=lambda chosen: [int(i in chosen) for i in range(len(coroots))])
-                assert [k.parts for k in enumerate_simple_partitions(rs, theta)] == [
+                assert [k.parts for k in simple_partitions(rs, theta)] == [
                     tuple((i, 1) for i in chosen) for chosen in expected
                 ], (series, rank, theta)
 
@@ -308,7 +310,7 @@ class TestPairSplittingIdentity:
                 for theta2 in itertools.product(*(range(t + 1) for t in theta)):
                     theta1 = tuple(t - s for t, s in zip(theta, theta2))
                     lhs += count_partitions(rs, theta1) * len(
-                        enumerate_simple_partitions(rs, theta2)
+                        simple_partitions(rs, theta2)
                     )
                 rhs = sum(2 ** len(k.support) for k in enumerate_partitions(rs, theta))
                 assert lhs == rhs
@@ -330,13 +332,15 @@ class TestWireFormat:
             if len(k.parts) == 2 and not k.is_simple
         ]
         data = partition_to_json(rs, k)
-        indices = [rs.coroot_index()[tuple(coords)] for coords, _ in data]
+        indices = [rs.positive_coroots.index(tuple(coords)) for coords, _ in data]
         assert indices == sorted(indices)
 
     def test_bad_data_rejected(self):
         rs = root_system("A", 2)
         with pytest.raises(ValueError):
             partition_from_json(rs, [[[5, 5], 1]])
+        with pytest.raises(ValueError, match="not positive"):
+            partition_from_json(rs, [[[-1, 0], 1]])
         with pytest.raises(ValueError):
             partition_from_json(rs, [[[1, 0], 0]])
         with pytest.raises(ValueError):

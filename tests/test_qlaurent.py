@@ -67,11 +67,6 @@ class TestArithmetic:
 
 
 class TestQueries:
-    def test_eval_at_one(self):
-        assert ONE_MINUS_Q.eval_at_one() == 0
-        assert LaurentPoly.q_power(-3).eval_at_one() == 1
-        assert LaurentPoly.zero().eval_at_one() == 0
-
     @pytest.mark.parametrize(
         "terms", [{0.5: 2}, {0: 2.7}, {0: True}, {"1": 1}], ids=["exponent", "coefficient", "boolean", "string"]
     )
