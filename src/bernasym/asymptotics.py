@@ -23,8 +23,9 @@ Laurent polynomial.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from itertools import pairwise, takewhile
+from itertools import takewhile
 from math import comb
 from operator import add, sub
 from types import MappingProxyType
@@ -122,20 +123,17 @@ def trace_kostant_sum(rs: RootSystem, theta: Sequence[int]) -> LaurentPoly:
     return _kostant_sum(theta, Counter((len(part.parts), part.size) for part in enumerate_partitions(rs, theta)))
 
 
-_ONE_MINUS_Q_POWERS = {0: [1]}  # the coefficients of (1 - q)^s from q^0 up, at key s; grown on demand
-
-
 def _kostant_sum(theta: Coweight, histogram: Mapping[tuple[int, int], int]) -> LaurentPoly:
     """The Kostant sum at theta from its histogram {(|R_K|, |K|): number of theta's partitions}.
 
     A term depends only on (|R_K|, |K|): each key adds count * (1 - q)^|R_K| q^(<rho,theta> - |K|).
     """
     coefficients: dict[int, int] = {}
+    top = height(theta)
     for (support, size), count in histogram.items():
-        for s in range(len(_ONE_MINUS_Q_POWERS), support + 1):  # times 1 - q: c_k - c_(k-1) at q^k
-            _ONE_MINUS_Q_POWERS.setdefault(s, [b - a for a, b in pairwise([0] + _ONE_MINUS_Q_POWERS[s - 1] + [0])])
-        for e, c in enumerate(_ONE_MINUS_Q_POWERS[support], height(theta) - size):
-            coefficients[e] = coefficients.get(e, 0) + count * c
+        for k in range(support + 1):  # (1 - q)^s has (-1)^k C(s, k) at q^k; math.comb: the routes share no global
+            e = top - size + k
+            coefficients[e] = coefficients.get(e, 0) + (-1) ** k * math.comb(support, k) * count
     return LaurentPoly(coefficients)
 
 
@@ -378,7 +376,10 @@ def build_asymp_table(
 
 
 def asymp_table_from_json(obj: Mapping) -> AsympTable:
-    """Rebuild a table; :class:`AsympTable` checks its height, genus and every theta."""
+    """Rebuild a table, which checks its height, genus and thetas; ValueError unless ``to_json_obj`` gives obj back."""
     entries = ((record["theta"], LaurentPoly.from_pairs(record["trace"])) for record in obj["entries"])
-    return AsympTable(root_system_from_json(obj["root_system"]), obj["height"], entries,
-                      obj.get("metadata", {}).get("genus"))
+    table = AsympTable(root_system_from_json(obj["root_system"]), obj["height"], entries,
+                       obj.get("metadata", {}).get("genus"))
+    if table.to_json_obj() != obj:
+        raise ValueError("table JSON is not what AsympTable.to_json_obj writes for its entries")
+    return table

@@ -267,23 +267,21 @@ class RootSystemSpec(Value):
 class RootSystem(Value):
     """Finite root datum: Cartan matrix plus the generated positive coroots.
 
-    ``labels`` are the vertex names (0-based positions of the index set).
     ``positive_coroots`` are strictly sorted by (height, lexicographic
     coordinates), and their height-1 entries are exactly the ``rank`` unit
     vectors (the simple coroots); every route's pruning relies on that order.
     """
 
-    __slots__ = ("name", "cartan", "labels", "positive_coroots")
+    __slots__ = ("name", "cartan", "positive_coroots")
 
-    def __init__(self, name: str, cartan: CartanMatrix, labels: tuple[int, ...],
-                 positive_coroots: tuple[Coweight, ...]) -> None:
+    def __init__(self, name: str, cartan: CartanMatrix, positive_coroots: tuple[Coweight, ...]) -> None:
         keys = [(height(beta), beta) for beta in positive_coroots]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("positive_coroots are not strictly sorted by (height, lex)")
         units = sorted(tuple(int(k == i) for k in range(len(cartan))) for i in range(len(cartan)))
         if [beta for beta in positive_coroots if height(beta) == 1] != units:
             raise ValueError(f"the height-1 positive_coroots are not the {len(cartan)} unit vectors")
-        super().__init__(name, cartan, labels, positive_coroots)
+        super().__init__(name, cartan, positive_coroots)
 
     @property
     def rank(self) -> int:
@@ -333,17 +331,17 @@ def positive_roots_of(matrix: CartanMatrix) -> list[tuple[int, ...]]:
     return sorted(roots, key=lambda b: (height(b), b))
 
 
-def _from_cartan(name: str, matrix: CartanMatrix, labels: tuple[int, ...]) -> RootSystem:
+def _from_cartan(name: str, matrix: CartanMatrix) -> RootSystem:
     """The RootSystem of a validated matrix: its coroots are the positive roots of the transpose."""
     n = len(matrix)
     transpose = tuple(tuple(matrix[j][i] for j in range(n)) for i in range(n))
-    return RootSystem(name, matrix, labels, tuple(positive_roots_of(transpose)))
+    return RootSystem(name, matrix, tuple(positive_roots_of(transpose)))
 
 
 def build_root_system(spec: RootSystemSpec) -> RootSystem:
     """Construct the RootSystem for a spec, generating its positive coroots."""
     matrix = spec.cartan if spec.cartan is not None else series_cartan(spec.series, spec.rank)
-    return _from_cartan(spec.name, matrix, tuple(range(len(matrix))))
+    return _from_cartan(spec.name, matrix)
 
 
 def root_system(series: str, rank: int) -> RootSystem:
@@ -424,7 +422,7 @@ def coordinate_box(theta: Sequence[int]) -> Iterable[Coweight]:
 def root_system_to_json(rs: RootSystem) -> dict:
     return {
         "name": rs.name,
-        "labels": list(rs.labels),
+        "labels": list(range(rs.rank)),
         "cartan": [list(row) for row in rs.cartan],
         "positive_coroots": [list(b) for b in rs.positive_coroots],
         "heights": [height(b) for b in rs.positive_coroots],
@@ -432,11 +430,11 @@ def root_system_to_json(rs: RootSystem) -> dict:
 
 
 def root_system_from_json(obj: dict) -> RootSystem:
-    """Rebuild a RootSystem; reject a matrix that is not finite type or coroots it does not generate."""
+    """Rebuild a RootSystem from its finite-type matrix; ValueError unless ``root_system_to_json`` gives obj back."""
     validate_cartan_matrix(obj["cartan"])
-    matrix = tuple(tuple(row) for row in obj["cartan"])
-    rs = _from_cartan(str(obj["name"]), matrix, check_integers(obj["labels"], "labels"))
-    if tuple(tuple(b) for b in obj["positive_coroots"]) != rs.positive_coroots:
-        raise ValueError(f"positive_coroots of {rs.name!r} differ from those its Cartan matrix generates")
+    rs = _from_cartan(str(obj["name"]), tuple(tuple(row) for row in obj["cartan"]))
+    if root_system_to_json(rs) != obj:
+        raise ValueError(f"the labels, positive_coroots, heights or keys of {rs.name!r} differ from those"
+                         " root_system_to_json writes for its matrix")
     return rs
 

@@ -153,12 +153,12 @@ def count_cache_clear() -> None:
 
 
 def count_cache_save(path: str) -> None:
-    """Persist cached counts as JSON records [cartan, labels, name, theta, count]."""
+    """Persist cached counts as JSON records [cartan, labels, name, theta, count]; labels are 0..rank-1."""
     with _COUNT_CACHE_LOCK:
         records = [
             [
                 [list(row) for row in rs.cartan],
-                list(rs.labels),
+                list(range(rs.rank)),
                 rs.name,
                 list(theta),
                 count,
@@ -185,18 +185,14 @@ def count_cache_load(path: str) -> int:
             raise ValueError(f"count cache record {record!r} is not [cartan, labels, name, theta, count]")
         cartan, labels, name, theta, count = record
         validate_cartan_matrix(cartan)
-        if not (_is_int_list(labels, len(cartan)) and _is_int_list(theta, len(cartan))
-                and isinstance(name, str) and type(count) is int):
+        if not (labels == list(range(len(cartan))) and isinstance(theta, list) and len(theta) == len(cartan)
+                and all(type(x) is int for x in theta) and isinstance(name, str) and type(count) is int):
             raise ValueError(f"count cache record {record!r} has malformed labels, name, theta or count")
-        rs = _from_cartan(name, tuple(tuple(row) for row in cartan), tuple(labels))
+        rs = _from_cartan(name, tuple(tuple(row) for row in cartan))
         loaded[(rs, tuple(theta))] = count
     with _COUNT_CACHE_LOCK:
         _COUNT_CACHE.update(loaded)
     return len(records)
-
-
-def _is_int_list(value, length: int) -> bool:
-    return isinstance(value, list) and len(value) == length and all(type(x) is int for x in value)
 
 
 # -- wire format -------------------------------------------------------------
@@ -207,20 +203,20 @@ def partition_to_json(rs: RootSystem, partition: KostantPartition) -> list[list]
     return [[list(rs.positive_coroots[i]), n] for i, n in partition.parts]
 
 
-def partition_from_json(rs: RootSystem, data: Sequence[Sequence]) -> KostantPartition:
+def partition_from_json(rs: RootSystem, data: list[list]) -> KostantPartition:
+    """Rebuild a partition; ValueError unless ``partition_to_json`` gives data back (canonical order, no repeats)."""
     index = {beta: i for i, beta in enumerate(rs.positive_coroots)}
-    parts: list[tuple[int, int]] = []
-    weight = [0] * rs.rank
+    multiplicities: dict[int, int] = {}
     for coords, n in data:
         beta = rs.check_positive_coweight(coords)
         if beta not in index:
             raise ValueError(f"{beta} is not a positive coroot of {rs.name}")
         if type(n) is not int or n < 1:
             raise ValueError(f"multiplicity {n!r} is not an integer >= 1")
-        parts.append((index[beta], n))
-        for k in range(rs.rank):
-            weight[k] += n * beta[k]
-    parts.sort()
-    if len({i for i, _ in parts}) != len(parts):
-        raise ValueError("duplicate coroot in partition data")
-    return KostantPartition(parts=tuple(parts), weight=tuple(weight))
+        multiplicities[index[beta]] = n
+    parts = tuple(sorted(multiplicities.items()))
+    weight = tuple(sum(n * rs.positive_coroots[i][k] for i, n in parts) for k in range(rs.rank))
+    partition = KostantPartition(parts=parts, weight=weight)
+    if partition_to_json(rs, partition) != data:
+        raise ValueError(f"partition data {data} does not list its coroots in canonical order, each once")
+    return partition

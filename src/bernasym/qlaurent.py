@@ -7,7 +7,7 @@ no zero entries; the canonical form is unique, and equality is dict equality.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class LaurentPoly:
@@ -111,6 +111,8 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {0}:  # a constant equals its int, so it hashes as that int
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def coefficient(self, exponent: int) -> int:
@@ -123,13 +125,15 @@ class LaurentPoly:
         return [[e, self._terms[e]] for e in sorted(self._terms)]
 
     @staticmethod
-    def from_pairs(pairs: Iterable[Iterable[int]]) -> "LaurentPoly":
-        out: dict[int, int] = {}
+    def from_pairs(pairs: list[list[int]]) -> "LaurentPoly":
+        """Read the JSON form back; ValueError unless ``to_pairs`` gives pairs back (sorted, no repeat, no 0)."""
         for e, c in pairs:
             if type(e) is not int or type(c) is not int:
                 raise ValueError(f"wire pair {[e, c]} is not a pair of integers")
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        poly = LaurentPoly(dict(pairs))
+        if poly.to_pairs() != pairs:
+            raise ValueError(f"wire pairs {pairs} need strictly increasing exponents and nonzero coefficients")
+        return poly
 
     # -- rendering ---------------------------------------------------------
 

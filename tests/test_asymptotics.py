@@ -646,6 +646,23 @@ class TestTable:
             asymp_table_from_json(obj)
 
     @pytest.mark.parametrize(
+        "edit, match",
+        [(lambda obj: obj["metadata"].update(dim_g=9), "to_json_obj writes"),
+         (lambda obj: obj.update(normalization_exponent="-dim(G)/2"), "to_json_obj writes"),
+         (lambda obj: obj.update(extra=1), "to_json_obj writes"),
+         (lambda obj: obj.pop("metadata"), "to_json_obj writes"),
+         (lambda obj: obj["entries"][0].update(height=0), "to_json_obj writes"),
+         (lambda obj: obj["entries"][1]["trace"].append([2, 0]), "nonzero coefficients")],
+        ids=["dim_g", "normalization-exponent", "extra-key", "no-metadata", "extra-entry-key", "zero-coefficient"],
+    )
+    def test_json_to_json_obj_does_not_write_rejected(self, edit, match):
+        # each was read as the A2 table before
+        obj = build_asymp_table(root_system("A", 2), 2, verify=False).to_json_obj()
+        edit(obj)
+        with pytest.raises(ValueError, match=match):
+            asymp_table_from_json(obj)
+
+    @pytest.mark.parametrize(
         "field, value",
         [("height", 2.9), ("height", True), ("genus", 1.7), ("genus", "1")],
         ids=["fractional-height", "boolean-height", "fractional-genus", "string-genus"],

@@ -202,7 +202,7 @@ class TestValidation:
     )
     def test_malformed_coroots_rejected(self, coroots, match):
         with pytest.raises(ValueError, match=match):
-            RootSystem("A2", series_cartan("A", 2), (0, 1), coroots)
+            RootSystem("A2", series_cartan("A", 2), coroots)
 
     @pytest.mark.parametrize("series,rank", SERIES_UNDER_TEST)
     def test_generated_coroots_accepted(self, series, rank):
@@ -403,6 +403,45 @@ class TestCorootList:
             assert not heights_follow_exponents(coroots[:k] + coroots[k + 1:], "E", 6)
 
 
+def diagram_automorphisms(cartan) -> list[tuple[int, ...]]:
+    """Every permutation sigma of the vertices with a[sigma i][sigma j] = a[i][j], by brute force."""
+    n = len(cartan)
+    return [sigma for sigma in itertools.permutations(range(n))
+            if all(cartan[sigma[i]][sigma[j]] == cartan[i][j] for i in range(n) for j in range(n))]
+
+
+def entries_moved_by(table, sigma) -> list:
+    """The thetas whose trace differs from that of sigma theta, whose coordinate sigma(i) is theta_i."""
+    def image(theta):
+        out = [0] * len(theta)
+        for i, t in enumerate(theta):
+            out[sigma[i]] = t
+        return tuple(out)
+
+    return [theta for theta, trace in table.entries.items() if table.entries[image(theta)] != trace]
+
+
+class TestDiagramAutomorphisms:
+    """A diagram automorphism maps the root datum to itself, so trace(sigma theta) = trace(theta) for every theta."""
+
+    @pytest.mark.parametrize("series,rank,bound,count",
+                             [("A", 5, 7, 2), ("D", 4, 8, 6), ("D", 5, 6, 2), ("E", 6, 6, 2)])
+    def test_automorphisms_fix_every_entry(self, series, rank, bound, count):
+        rs = root_system(series, rank)
+        table = build_asymp_table(rs, bound, verify=False)
+        automorphisms = diagram_automorphisms(rs.cartan)
+        assert len(automorphisms) == count  # the identity among them
+        for sigma in automorphisms:
+            assert entries_moved_by(table, sigma) == [], sigma
+
+    def test_other_permutation_moves_an_entry(self):
+        # swapping the end vertex 0 of A5 with its neighbour 1: (0, 1, 1, 0, 0) is a coroot, (1, 0, 1, 0, 0) is not
+        rs = root_system("A", 5)
+        sigma = (1, 0, 2, 3, 4)
+        assert sigma not in diagram_automorphisms(rs.cartan)
+        assert (0, 1, 1, 0, 0) in entries_moved_by(build_asymp_table(rs, 2, verify=False), sigma)
+
+
 def rho_in_root_coords(rs: RootSystem) -> tuple[Fraction, ...]:
     """rho = half the sum of the positive roots, in simple-root coordinates."""
     roots = positive_roots_of(rs.cartan)
@@ -492,7 +531,7 @@ def value_classes() -> list[type]:
 PLAIN_VALUE_CLASSES = [cls for cls in value_classes() if "__init__" not in vars(cls)]
 #: a call to each class with a constructor of its own, short of a field it needs
 MISSING_FIELD = {
-    RootSystem: lambda: RootSystem("A1", ((2,),), (0,)),
+    RootSystem: lambda: RootSystem("A1", ((2,),)),
     ColoredDivisor: lambda: ColoredDivisor(),
     AsympTable: lambda: AsympTable(root_system("A", 1)),
 }
@@ -602,7 +641,7 @@ class TestValueSemantics:
     def test_repr(self):
         assert repr(ParabolicType((2, 0))) == "ParabolicType(levi_vertices=(0, 2))"
         assert repr(root_system("A", 1)) == (
-            "RootSystem(name='A1', cartan=((2,),), labels=(0,), positive_coroots=((1,),))"
+            "RootSystem(name='A1', cartan=((2,),), positive_coroots=((1,),))"
         )
         assert repr(RootSystemSpec(series="b", rank=2)) == (
             "RootSystemSpec(series='B', rank=2, cartan=None, label=None)"
@@ -665,6 +704,18 @@ class TestWireFormats:
         obj = root_system_to_json(root_system("A", 2))
         obj["positive_coroots"] = [[1, 0], [0, 1]]
         with pytest.raises(ValueError, match="positive_coroots"):
+            root_system_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("labels", [0]), ("labels", [1, 0]), ("heights", [1, 1, 1]), ("extra", 1), ("name", 2)],
+        ids=["short-labels", "permuted-labels", "heights", "extra-key", "non-string-name"],
+    )
+    def test_root_system_json_to_json_does_not_write_rejected(self, field, value):
+        # each was read as A2 before
+        obj = root_system_to_json(root_system("A", 2))
+        obj[field] = value
+        with pytest.raises(ValueError, match="root_system_to_json writes"):
             root_system_from_json(obj)
 
     def test_parse_key_value_text(self):

@@ -39,12 +39,36 @@ def test_star_import_binds_every_public_name():
     assert not {"MonoidSeries", "geometric_factor"} & set(namespace)
 
 
+def readme_public_name_list() -> str:
+    """The README's list of public names: from its opening sentence up to the demos paragraph."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split("The public names (", 1)[1].split("Narrative walkthroughs", 1)[0]
+
+
 def test_readme_names_every_public_name():
-    # a public name needs a documented user: each one appears in README.md as code, `name` or `name(...)`
+    # a public name needs a documented user: each one appears in the list as code, `name` or `name(...)`
     import bernasym
 
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    assert [name for name in bernasym.__all__ if not re.search(rf"`{re.escape(name)}\b", readme)] == []
+    listing = readme_public_name_list()
+    assert [name for name in bernasym.__all__ if not re.search(rf"`{re.escape(name)}\b", listing)] == []
+
+
+def test_readme_public_names_exist():
+    # every code span in the list that reads as a Python name, `name`, `Class.attr` or `name()`, resolves on
+    # bernasym, so a removed name cannot linger in the docs; flags, paths and formulas are not names
+    import bernasym
+
+    def resolves(path: str) -> bool:
+        owner = bernasym
+        for attr in path.split("."):
+            if not hasattr(owner, attr):
+                return False
+            owner = getattr(owner, attr)
+        return True
+
+    spans = re.findall(r"`([^`]*)`", readme_public_name_list())
+    names = [span for span in spans if re.fullmatch(r"[A-Za-z_]\w*(\.\w+)*(\(\))?", span)]
+    assert [name for name in names if not resolves(name.removeprefix("bernasym.").removesuffix("()"))] == []
 
 
 def test_readme_quickstart_runs(capsys):

@@ -253,8 +253,10 @@ class TestCounting:
             [[[[2, -1], [-1, 2]], [0, 1], "A2", [1, 1], "1"]],
             [[[[2, -2], [-2, 2]], [0, 1], "affine", [1, 1], 3]],
             [[[[2.5, -1], [-1, 2]], [0, 1], "A2", [1, 1], 1]],
+            [[[[2, -1], [-1, 2]], [1, 0], "A2", [1, 1], 1]],
         ],
-        ids=["not-a-list", "int-record", "short-record", "short-labels", "string-count", "affine", "float-entry"],
+        ids=["not-a-list", "int-record", "short-record", "short-labels", "string-count", "affine", "float-entry",
+             "permuted-labels"],
     )
     def test_cache_load_rejects_bad_records(self, tmp_path, records):
         count_cache_clear()
@@ -343,8 +345,10 @@ class TestWireFormat:
             partition_from_json(rs, [[[-1, 0], 1]])
         with pytest.raises(ValueError):
             partition_from_json(rs, [[[1, 0], 0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="canonical order, each once"):
             partition_from_json(rs, [[[1, 0], 1], [[1, 0], 2]])
+        with pytest.raises(ValueError, match="canonical order, each once"):
+            partition_from_json(rs, [[[1, 1], 1], [[1, 0], 1]])  # was read as the partition in canonical order
         with pytest.raises(ValueError, match="integer"):
             partition_from_json(rs, [[[1, 0], 1.9]])  # was read as multiplicity 1
         with pytest.raises(ValueError, match="integer"):

@@ -79,6 +79,19 @@ class TestQueries:
         assert not LaurentPoly({2: 1, 0: -1}) + LaurentPoly({0: 1, 2: -1})
 
 
+class TestHash:
+    @pytest.mark.parametrize("c", [0, 1, -3, 2**70])
+    def test_constant_hashes_as_its_int(self, c):
+        poly = LaurentPoly.constant(c)
+        assert poly == c and hash(poly) == hash(c)
+        assert len({c, poly}) == 1
+        assert {c: "x"}.get(poly) == "x" and {poly: "x"}.get(c) == "x"
+
+    def test_non_constant_is_not_an_int(self):
+        assert len({1, ONE_MINUS_Q, Q}) == 3
+        assert {1: "x"}.get(ONE_MINUS_Q) is None
+
+
 class TestWireFormat:
     def test_pairs_sorted_by_exponent(self):
         p = LaurentPoly({2: 1, -1: 4, 0: -3})
@@ -94,6 +107,13 @@ class TestWireFormat:
     def test_non_integer_pair_rejected(self, pair):
         with pytest.raises(ValueError, match="not a pair of integers"):
             LaurentPoly.from_pairs([pair])
+
+    @pytest.mark.parametrize("pairs", [[[0, 1], [0, 2]], [[0, 1], [1, 0]], [[1, -1], [0, 1]]],
+                             ids=["repeated-exponent", "zero-coefficient", "unsorted"])
+    def test_pairs_to_pairs_does_not_write_rejected(self, pairs):
+        # each was read as a polynomial before: [[0, 1], [0, 2]] as 3
+        with pytest.raises(ValueError, match="strictly increasing exponents and nonzero coefficients"):
+            LaurentPoly.from_pairs(pairs)
 
 
 class TestRendering:
