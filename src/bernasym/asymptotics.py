@@ -35,14 +35,14 @@ from .cartan import (
     Coweight,
     RootSystem,
     Value,
-    check_integers,
+    check_coweight,
     compositions_of,
     coordinate_box,
     coweights_up_to_height,
     height,
-    is_positive,
     root_system_from_json,
     root_system_to_json,
+    same_json,
 )
 # count_partitions is not called here: it stays a module global for perfbench/traced.py, which wraps it
 from .kostant import count_partitions, count_region, enumerate_partitions
@@ -61,7 +61,7 @@ class GKSeries(Value):
     __slots__ = ("_terms",)
 
     def coefficient(self, theta: Sequence[int]) -> LaurentPoly:
-        theta = check_integers(theta)
+        theta = check_coweight(theta, len(next(iter(self._terms))), "theta")  # every key has the rank's length
         if theta not in self._terms:
             raise ValueError(f"{theta} is outside the series region; rebuild the series over a region holding it")
         return self._terms[theta]
@@ -206,13 +206,11 @@ class ColoredDivisor(Value):
     __slots__ = ("points",)
 
     def __init__(self, points: Sequence[tuple[str, Sequence[int]]]) -> None:
-        normalized = tuple((str(label), check_integers(theta)) for label, theta in points)
+        normalized = tuple((str(label), tuple(theta)) for label, theta in points)
         if len({label for label, _ in normalized}) != len(normalized):
             raise ValueError("divisor point labels must be pairwise distinct")
         for label, theta in normalized:
-            if not is_positive(theta):
-                raise ValueError(f"divisor part at {label!r} is not positive: {theta}")
-            if all(x == 0 for x in theta):
+            if not any(check_coweight(theta, len(theta), f"divisor part at {label!r}")):
                 raise ValueError(f"divisor part at {label!r} is zero; drop the point instead")
         super().__init__(normalized)
 
@@ -234,9 +232,7 @@ def parse_divisor(text: str, rank: int) -> ColoredDivisor:
             theta = tuple(int(tok) for tok in coords.split(","))
         except ValueError as exc:
             raise ValueError(f"malformed divisor coordinates {coords!r}") from exc
-        if len(theta) != rank:
-            raise ValueError(f"divisor part {label!r} has {len(theta)} coordinates, expected {rank}")
-        points.append((label.strip(), theta))
+        points.append((label.strip(), check_coweight(theta, rank, f"divisor part {label!r}")))
     return ColoredDivisor(points=tuple(points))
 
 
@@ -377,9 +373,13 @@ def build_asymp_table(
 
 def asymp_table_from_json(obj: Mapping) -> AsympTable:
     """Rebuild a table, which checks its height, genus and thetas; ValueError unless ``to_json_obj`` gives obj back."""
-    entries = ((record["theta"], LaurentPoly.from_pairs(record["trace"])) for record in obj["entries"])
-    table = AsympTable(root_system_from_json(obj["root_system"]), obj["height"], entries,
-                       obj.get("metadata", {}).get("genus"))
-    if table.to_json_obj() != obj:
+    try:
+        entries = ((record["theta"], LaurentPoly.from_pairs(record["trace"])) for record in obj["entries"])
+        table = AsympTable(root_system_from_json(obj["root_system"]), obj["height"], entries,
+                           obj.get("metadata", {}).get("genus"))
+        exact = same_json(table.to_json_obj(), obj)
+    except (KeyError, TypeError, AttributeError) as exc:  # a record or the metadata is not a dict, or lacks a key
+        raise ValueError(f"table JSON lacks or mistypes a field: {exc!r}") from exc
+    if not exact:
         raise ValueError("table JSON is not what AsympTable.to_json_obj writes for its entries")
     return table

@@ -2,7 +2,7 @@
 
 Builds the positive coroots of any finite-type Cartan matrix (named series
 A-G or an explicit matrix), computes heights and the rho-pairing, and checks
-coweights of the quotient lattice attached to a standard parabolic.
+every integer vector the library is handed (``check_coweight``).
 
 Conventions
 -----------
@@ -18,6 +18,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
+import json
 from typing import Iterable, Sequence
 
 Coweight = tuple[int, ...]
@@ -40,15 +41,16 @@ def height(vector: Sequence[int]) -> int:
     return sum(vector)
 
 
-def is_positive(vector: Sequence[int]) -> bool:
-    return all(x >= 0 for x in vector)
-
-
-def check_integers(vector: Sequence[int], what: str = "coweight") -> tuple[int, ...]:
-    """vector as a tuple, or a ValueError naming ``what`` if an entry's type is not exactly int."""
-    if any(type(x) is not int for x in vector):
-        raise ValueError(f"{what} {tuple(vector)} has a coordinate that is not an integer")
-    return tuple(vector)
+def check_coweight(theta: Sequence[int], length: int, what: str) -> Coweight:
+    """theta as a tuple of ``length`` coordinates, each of type exactly int and >= 0; else a ValueError naming what."""
+    theta = tuple(theta)  # built-ins in one frame: every table checks each of its thetas here
+    if len(theta) != length:
+        raise ValueError(f"{what} {theta} has length {len(theta)}, expected {length}")
+    if not {int}.issuperset(map(type, theta)):
+        raise ValueError(f"{what} {theta} has a coordinate that is not an integer")
+    if theta and min(theta) < 0:
+        raise ValueError(f"{what} {theta} is not positive (all coordinates must be >= 0)")
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +296,7 @@ class RootSystem(Value):
 
     def check_positive_coweight(self, theta: Sequence[int]) -> Coweight:
         """theta as an int tuple of length rank with every coordinate >= 0, else a ValueError."""
-        theta = tuple(theta)  # built-ins in one frame: every table checks each of its thetas here
-        if len(theta) != len(self.cartan):
-            raise ValueError(f"coweight has length {len(theta)}, expected rank {self.rank}")
-        if not {int}.issuperset(map(type, theta)):
-            raise ValueError(f"coweight {theta} has a coordinate that is not an integer")
-        if theta and min(theta) < 0:
-            raise ValueError(f"theta {theta} is not positive (all coordinates must be >= 0)")
-        return theta
+        return check_coweight(theta, len(self.cartan), "theta")
 
 
 def positive_roots_of(matrix: CartanMatrix) -> list[tuple[int, ...]]:
@@ -355,32 +350,21 @@ def root_system(series: str, rank: int) -> RootSystem:
 
 
 class ParabolicType(Value):
-    """A standard parabolic, encoded by its Levi vertices (0-based positions); ``ParabolicType()`` is the Borel."""
+    """A standard parabolic, encoded by its Levi vertices (0-based, so >= 0); ``ParabolicType()`` is the Borel."""
 
     __slots__ = ("levi_vertices",)
 
     def __init__(self, levi_vertices: Sequence[int] = ()) -> None:
-        super().__init__(tuple(sorted(set(check_integers(levi_vertices, "Levi vertex list")))))
+        levi_vertices = tuple(levi_vertices)
+        super().__init__(tuple(sorted(set(check_coweight(levi_vertices, len(levi_vertices), "Levi vertex list")))))
 
     def validate(self, rs: RootSystem) -> None:
         for v in self.levi_vertices:
-            if not (0 <= v < rs.rank):
+            if v >= rs.rank:
                 raise ValueError(f"Levi vertex {v} is out of range for rank {rs.rank}")
 
 
 QuotientCoweight = tuple[int, ...]
-
-
-def check_quotient_coweight(rs: RootSystem, p: ParabolicType, theta: Sequence[int]) -> QuotientCoweight:
-    """theta as an int tuple whose length is the rank minus the number of Levi vertices, else a ValueError."""
-    p.validate(rs)
-    expected = rs.rank - len(p.levi_vertices)
-    if len(theta) != expected:
-        raise ValueError(
-            f"quotient coweight has length {len(theta)}, expected {expected}"
-            f" (rank {rs.rank} minus {len(p.levi_vertices)} Levi vertices)"
-        )
-    return check_integers(theta, "quotient coweight")
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +385,8 @@ def compositions_of(total: int, parts: int) -> Iterable[tuple[int, ...]]:
 
 def coweights_up_to_height(rank: int, bound: int) -> list[Coweight]:
     """All positive coweights of height <= bound, sorted by (height, lex)."""
-    if bound < 0:
-        raise ValueError("height bound must be >= 0")
+    if type(bound) is not int or bound < 0:
+        raise ValueError(f"height bound {bound!r} must be an integer >= 0")
     out: list[Coweight] = []
     for h in range(bound + 1):
         out.extend(compositions_of(h, rank))
@@ -429,11 +413,20 @@ def root_system_to_json(rs: RootSystem) -> dict:
     }
 
 
+def same_json(written: object, given: object) -> bool:
+    """Whether given is exactly written: equal, and equal as JSON text, so 1.0 or True is not 1 and (1,) is not [1]."""
+    return written == given and json.dumps(written, sort_keys=True) == json.dumps(given, sort_keys=True)
+
+
 def root_system_from_json(obj: dict) -> RootSystem:
     """Rebuild a RootSystem from its finite-type matrix; ValueError unless ``root_system_to_json`` gives obj back."""
-    validate_cartan_matrix(obj["cartan"])
-    rs = _from_cartan(str(obj["name"]), tuple(tuple(row) for row in obj["cartan"]))
-    if root_system_to_json(rs) != obj:
+    try:
+        validate_cartan_matrix(obj["cartan"])
+        rs = _from_cartan(str(obj["name"]), tuple(tuple(row) for row in obj["cartan"]))
+        exact = same_json(root_system_to_json(rs), obj)
+    except (KeyError, TypeError) as exc:  # obj is not a dict, lacks a key, or holds a value JSON cannot write
+        raise ValueError(f"root-system JSON lacks or mistypes a field: {exc!r}") from exc
+    if not exact:
         raise ValueError(f"the labels, positive_coroots, heights or keys of {rs.name!r} differ from those"
                          " root_system_to_json writes for its matrix")
     return rs

@@ -213,7 +213,7 @@ def _cmd_divisor(args: argparse.Namespace, rs: RootSystem) -> dict:
 def _cmd_strata(args: argparse.Namespace, rs: RootSystem) -> dict:
     if args.kind is None:
         raise UsageError("strata needs a kind: parabolic, local, or poset")
-    p = ParabolicType(args.levi or ())
+    p = _checked(ParabolicType, args.levi or ())
     _checked(p.validate, rs)
 
     if args.kind == "parabolic":

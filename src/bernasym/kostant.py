@@ -207,13 +207,16 @@ def partition_from_json(rs: RootSystem, data: list[list]) -> KostantPartition:
     """Rebuild a partition; ValueError unless ``partition_to_json`` gives data back (canonical order, no repeats)."""
     index = {beta: i for i, beta in enumerate(rs.positive_coroots)}
     multiplicities: dict[int, int] = {}
-    for coords, n in data:
-        beta = rs.check_positive_coweight(coords)
-        if beta not in index:
-            raise ValueError(f"{beta} is not a positive coroot of {rs.name}")
-        if type(n) is not int or n < 1:
-            raise ValueError(f"multiplicity {n!r} is not an integer >= 1")
-        multiplicities[index[beta]] = n
+    try:
+        for coords, n in data:
+            beta = rs.check_positive_coweight(coords)
+            if beta not in index:
+                raise ValueError(f"{beta} is not a positive coroot of {rs.name}")
+            if type(n) is not int or n < 1:
+                raise ValueError(f"multiplicity {n!r} is not an integer >= 1")
+            multiplicities[index[beta]] = n
+    except TypeError as exc:  # data, a pair or a vector is not iterable
+        raise ValueError(f"partition data {data!r} is not a list of [coroot, multiplicity] pairs") from exc
     parts = tuple(sorted(multiplicities.items()))
     weight = tuple(sum(n * rs.positive_coroots[i][k] for i, n in parts) for k in range(rs.rank))
     partition = KostantPartition(parts=parts, weight=weight)

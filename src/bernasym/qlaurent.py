@@ -127,9 +127,12 @@ class LaurentPoly:
     @staticmethod
     def from_pairs(pairs: list[list[int]]) -> "LaurentPoly":
         """Read the JSON form back; ValueError unless ``to_pairs`` gives pairs back (sorted, no repeat, no 0)."""
-        for e, c in pairs:
-            if type(e) is not int or type(c) is not int:
-                raise ValueError(f"wire pair {[e, c]} is not a pair of integers")
+        try:
+            for e, c in pairs:
+                if type(e) is not int or type(c) is not int:
+                    raise ValueError(f"wire pair {[e, c]} is not a pair of integers")
+        except TypeError as exc:  # pairs, or one of its pairs, is not iterable
+            raise ValueError(f"wire pairs {pairs!r} are not a list of pairs") from exc
         poly = LaurentPoly(dict(pairs))
         if poly.to_pairs() != pairs:
             raise ValueError(f"wire pairs {pairs} need strictly increasing exponents and nonzero coefficients")

@@ -16,11 +16,10 @@ from .cartan import (
     QuotientCoweight,
     RootSystem,
     Value,
-    check_quotient_coweight,
+    check_coweight,
     coordinate_box,
     coweights_up_to_height,
     height,
-    is_positive,
 )
 
 
@@ -63,9 +62,8 @@ def enumerate_local_strata(
     Deterministic order: lexicographic in (first part, middle part).  The
     count is the per-coordinate stars-and-bars product prod C(n_i + 2, 2).
     """
-    theta = check_quotient_coweight(rs, p, theta)
-    if not is_positive(theta):
-        raise ValueError(f"quotient coweight {theta} is not positive")
+    p.validate(rs)
+    theta = check_coweight(theta, rs.rank - len(p.levi_vertices), "quotient coweight")
     out: list[DefectStratumIndex] = []
     for part1 in coordinate_box(theta):
         rest = tuple(t - a for t, a in zip(theta, part1))

@@ -33,6 +33,7 @@ from bernasym.cartan import (
     coweights_up_to_height,
     height,
     root_system,
+    root_system_from_json,
 )
 from bernasym.kostant import (
     count_partitions,
@@ -652,8 +653,14 @@ class TestTable:
          (lambda obj: obj.update(extra=1), "to_json_obj writes"),
          (lambda obj: obj.pop("metadata"), "to_json_obj writes"),
          (lambda obj: obj["entries"][0].update(height=0), "to_json_obj writes"),
-         (lambda obj: obj["entries"][1]["trace"].append([2, 0]), "nonzero coefficients")],
-        ids=["dim_g", "normalization-exponent", "extra-key", "no-metadata", "extra-entry-key", "zero-coefficient"],
+         (lambda obj: obj["entries"][1]["trace"].append([2, 0]), "nonzero coefficients"),
+         (lambda obj: obj["metadata"].update(dim_g=8.0), "to_json_obj writes"),
+         (lambda obj: obj.pop("entries"), "lacks or mistypes"),
+         (lambda obj: obj["root_system"].pop("cartan"), "lacks or mistypes"),
+         (lambda obj: obj.update(metadata=[]), "lacks or mistypes"),
+         (lambda obj: obj["entries"][0].update(trace=None), "not a list of pairs")],
+        ids=["dim_g", "normalization-exponent", "extra-key", "no-metadata", "extra-entry-key", "zero-coefficient",
+             "float-dim_g", "no-entries", "no-cartan", "list-metadata", "null-trace"],
     )
     def test_json_to_json_obj_does_not_write_rejected(self, edit, match):
         # each was read as the A2 table before
@@ -661,6 +668,16 @@ class TestTable:
         edit(obj)
         with pytest.raises(ValueError, match=match):
             asymp_table_from_json(obj)
+
+    @pytest.mark.parametrize("wrap", [lambda obj: [obj], lambda obj: None, lambda obj: "table"],
+                             ids=["list", "null", "string"])
+    def test_json_rejects_non_object(self, wrap):
+        # each raised TypeError before, as did a list in place of the root system
+        obj = build_asymp_table(root_system("A", 2), 2, verify=False).to_json_obj()
+        with pytest.raises(ValueError, match="lacks or mistypes"):
+            asymp_table_from_json(wrap(obj))
+        with pytest.raises(ValueError, match="lacks or mistypes"):
+            root_system_from_json(wrap(obj["root_system"]))
 
     @pytest.mark.parametrize(
         "field, value",

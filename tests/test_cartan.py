@@ -27,7 +27,6 @@ from bernasym.cartan import (
     RootSystemSpec,
     Value,
     build_root_system,
-    check_quotient_coweight,
     coweights_up_to_height,
     height,
     positive_roots_of,
@@ -653,7 +652,7 @@ class TestQuotient:
         rs = root_system("A", 2)
         with pytest.raises(ValueError, match="expected 2"):
             enumerate_local_strata(rs, ParabolicType(), (1,))
-        with pytest.raises(ValueError, match=r"expected 1 \(rank 2 minus 1 Levi vertices\)"):
+        with pytest.raises(ValueError, match=r"quotient coweight \(1, 1\) has length 2, expected 1"):
             enumerate_local_strata(rs, ParabolicType((0,)), (1, 1))
 
     @pytest.mark.parametrize("vertices", [(1.5,), (0, 1.0), (True,)], ids=["fractional", "float", "boolean"])
@@ -661,10 +660,16 @@ class TestQuotient:
         with pytest.raises(ValueError, match="not an integer"):
             ParabolicType(vertices)
 
+    @pytest.mark.parametrize("vertices", [(-1,), (0, -2)], ids=["alone", "with-another"])
+    def test_negative_levi_vertex_rejected(self, vertices):
+        # refused at construction; a negative vertex used to pass until validate() saw the rank
+        with pytest.raises(ValueError, match=r"Levi vertex list \(.*\) is not positive"):
+            ParabolicType(vertices)
+
     def test_non_integer_quotient_coweight_rejected(self):
         rs = root_system("A", 2)
         with pytest.raises(ValueError, match="not an integer"):
-            check_quotient_coweight(rs, ParabolicType((0,)), (1.5,))
+            enumerate_local_strata(rs, ParabolicType((0,)), (1.5,))
 
     def test_bad_vertex_rejected(self):
         rs = root_system("A", 2)
@@ -708,8 +713,10 @@ class TestWireFormats:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("labels", [0]), ("labels", [1, 0]), ("heights", [1, 1, 1]), ("extra", 1), ("name", 2)],
-        ids=["short-labels", "permuted-labels", "heights", "extra-key", "non-string-name"],
+        [("labels", [0]), ("labels", [1, 0]), ("heights", [1, 1, 1]), ("extra", 1), ("name", 2),
+         ("labels", [0.0, True]), ("heights", [1.0, 1, 2])],
+        ids=["short-labels", "permuted-labels", "heights", "extra-key", "non-string-name", "float-boolean-labels",
+             "float-heights"],
     )
     def test_root_system_json_to_json_does_not_write_rejected(self, field, value):
         # each was read as A2 before

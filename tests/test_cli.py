@@ -313,10 +313,9 @@ class TestStrata:
         assert code == EXIT_USAGE
 
     def test_bad_levi_usage_error(self, capsys):
-        code, _, _ = run(
-            capsys, "--type", "A", "--rank", "2", "--levi", "7", "strata", "parabolic"
-        )
-        assert code == EXIT_USAGE
+        for levi in ("7", "-1"):
+            code, out, err = run(capsys, "--type", "A", "--rank", "2", f"--levi={levi}", "strata", "parabolic")
+            assert (code, out) == (EXIT_USAGE, "") and err.startswith("error: "), levi
 
     def test_local_needs_quotient_arity(self, capsys):
         code, _, _ = run(
@@ -682,7 +681,10 @@ class TestStartup:
             "print(' '.join(sorted(set(sys.modules) - before)))"
         )
         env = {**os.environ, "PYTHONPATH": str(src)}
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        # -S: without site, no .pth hook loads a module before bernasym and hides a new import of it
+        result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+                                check=True)
         added = set(result.stdout.split())
         assert "bernasym.cli" in added
-        assert added.isdisjoint({"dataclasses", "fractions", "decimal", "inspect"})
+        assert added.isdisjoint({"dataclasses", "fractions", "decimal", "inspect", "csv", "pathlib", "tempfile",
+                                 "random"})

@@ -353,3 +353,6 @@ class TestWireFormat:
             partition_from_json(rs, [[[1, 0], 1.9]])  # was read as multiplicity 1
         with pytest.raises(ValueError, match="integer"):
             partition_from_json(rs, [[[1.0, 0], 1]])
+        for data in (None, [5], [[5, 1]]):  # each raised TypeError before
+            with pytest.raises(ValueError, match="not a list of"):
+                partition_from_json(rs, data)

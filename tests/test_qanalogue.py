@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from closed_forms import exponents
@@ -57,17 +58,33 @@ def dot_orbit(cartan, lam):
     return signs
 
 
+def t_kostant(rs, trace):
+    """P_t as a memoized function of gamma >= 0, from ``trace(theta)`` on the thetas below the gammas asked for.
+
+    P_t(gamma) = sum over theta <= gamma of c_theta p(gamma - theta), with c_theta = q^-<rho,theta> trace(theta).
+    """
+    c, p_t = {}, {}
+
+    def kostant_t(gamma):
+        if gamma not in p_t:
+            total = LaurentPoly.zero()
+            for theta in coordinate_box(gamma):
+                if theta not in c:
+                    c[theta] = LaurentPoly.q_power(-height(theta)) * trace(theta)
+                total = total + count_partitions(rs, tuple(g - x for g, x in zip(gamma, theta))) * c[theta]
+            p_t[gamma] = total
+        return p_t[gamma]
+
+    return kostant_t
+
+
 def q_analogue(rs, trace):
     """K(t) at the highest coroot, as a Laurent polynomial in q = t^-1, from ``trace(theta)`` on its box."""
-    lam = rs.positive_coroots[-1]
-    c = {theta: LaurentPoly.q_power(-height(theta)) * trace(theta) for theta in coordinate_box(lam)}
+    kostant_t = t_kostant(rs, trace)
     total = LaurentPoly.zero()
-    for gamma, sign in dot_orbit(rs.cartan, lam).items():
-        if min(gamma) < 0:
-            continue  # P_t vanishes off the positive cone
-        for theta in coordinate_box(gamma):
-            rest = tuple(g - x for g, x in zip(gamma, theta))
-            total = total + sign * count_partitions(rs, rest) * c[theta]
+    for gamma, sign in dot_orbit(rs.cartan, rs.positive_coroots[-1]).items():
+        if min(gamma) >= 0:  # P_t vanishes off the positive cone
+            total = total + sign * kostant_t(gamma)
     return total
 
 
@@ -215,21 +232,8 @@ def charge_sum(lam, mu):
 
 def kostka_from_traces(n, trace):
     """{(lam, mu): K_{lam,mu}(t)} over ``gl_pairs(n)``, from ``trace(theta)`` on the root system A_(n-1)."""
-    rs = root_system("A", n - 1)
+    kostant_t = t_kostant(root_system("A", n - 1), trace)
     rho = tuple(range(n - 1, -1, -1))
-    c, p_t = {}, {}
-
-    def kostant_t(gamma):
-        # P_t(gamma) = sum over theta <= gamma of c_theta p(gamma - theta), c_theta = q^-<rho,theta> trace(theta)
-        if gamma not in p_t:
-            total = LaurentPoly.zero()
-            for theta in coordinate_box(gamma):
-                if theta not in c:
-                    c[theta] = LaurentPoly.q_power(-height(theta)) * trace(theta)
-                total = total + count_partitions(rs, tuple(g - x for g, x in zip(gamma, theta))) * c[theta]
-            p_t[gamma] = total
-        return p_t[gamma]
-
     out = {}
     for lam, mu in gl_pairs(n):
         total = LaurentPoly.zero()
@@ -291,3 +295,130 @@ def test_q_minus_three_at_the_first_simple_coroot_is_caught():
         kostka = kostka_from_traces(n, corrupted)
         changed += sum(value != charge_sum(lam, mu) for (lam, mu), value in kostka.items())
     assert changed > 0
+
+
+# -- Kostka-Foulkes polynomials beyond type A ------------------------------------------------------
+#
+# For the dual group (its roots are the coroots, as in dot_orbit) and dominant weights lam >= mu with
+# lam - mu in the coroot lattice, the same alternating sum gives
+# K_{lam,mu}(t) = sum over w in W of sign(w) P_t(w(lam + rho) - (mu + rho)) = sum of sign(w) P_t(w . lam - mu).
+# At t = 1 it is Kostant's multiplicity formula, so K_{lam,mu}(1) = dim V(lam)_mu, here from Freudenthal's
+# formula (Humphreys, Introduction to Lie Algebras and Representation Theory, 22.3); and every coefficient
+# is >= 0 (Lusztig, Asterisque 101-102 (1983)).  Weights are tuples of Fractions in simple coroot
+# coordinates: the weight lattices of B3, C3 and G2 lie in (1/2)Z^n, as their Cartan matrices have
+# determinants 2, 2 and 1.  Freudenthal's formula and the weight enumeration are written here.
+
+WEIGHT_TOPS = {("B", 3): 4, ("C", 3): 3, ("G", 2): 6}  # the largest coroot coordinate of lam, per type
+
+
+def labels(cartan, weight):
+    """<weight, alpha_i> for each simple root alpha_i, for a weight in simple coroot coordinates."""
+    return tuple(sum(x * row[i] for x, row in zip(weight, cartan)) for i in range(len(cartan)))
+
+
+def weight_pairs(cartan, top):
+    """(lam, mu) for each dominant lam with coordinates in {0, 1/2, ..., top} and each dominant mu <= lam with
+    lam - mu in the coroot lattice; dominant weights have coordinates >= 0, so lam - mu lies in lam's box."""
+    steps = [Fraction(k, 2) if k % 2 else k // 2 for k in range(2 * top + 1)]  # ints where they can be
+    pairs = []
+    for lam in itertools.product(steps, repeat=len(cartan)):
+        if all(a.denominator == 1 and a >= 0 for a in labels(cartan, lam)):
+            for delta in coordinate_box([math.floor(x) for x in lam]):
+                mu = tuple(x - d for x, d in zip(lam, delta))
+                if min(labels(cartan, mu)) >= 0:
+                    pairs.append((lam, mu))
+    return pairs
+
+
+def freudenthal(cartan, coroots, lam):
+    """mu -> dim V(lam)_mu for the dual group, by Freudenthal's formula
+
+        (|lam + rho|^2 - |mu + rho|^2) m(mu) = 2 sum over alpha > 0, k >= 1 of m(mu + k alpha) (mu + k alpha, alpha),
+
+    at the dominant conjugate of mu.  The form is (beta_i, beta_j) = d_i cartan[j][i] on the simple roots
+    beta_i of the dual group (the simple coroots), with d_i cartan[j][i] = d_j cartan[i][j]; then
+    (x, beta_i) = d_i <x, alpha_i>, so (2 rho, delta) = 2 sum_i d_i delta_i.
+    """
+    n = len(cartan)
+    d = [Fraction(1)] + [None] * (n - 1)
+    while None in d:
+        for i, j in itertools.permutations(range(n), 2):
+            if d[i] is not None and d[j] is None and cartan[i][j]:
+                d[j] = d[i] * cartan[j][i] / cartan[i][j]
+
+    def form(x, y):
+        return sum(x[i] * y[j] * d[i] * cartan[j][i] for i in range(n) for j in range(n))
+
+    memo = {}
+
+    def mult(mu):
+        while any(a < 0 for a in labels(cartan, mu)):  # reflect to the dominant conjugate: s_i mu = mu - a_i beta_i
+            i, a = next((i, a) for i, a in enumerate(labels(cartan, mu)) if a < 0)
+            mu = mu[:i] + (mu[i] - a,) + mu[i + 1:]
+        delta = tuple(x - y for x, y in zip(lam, mu))
+        if min(delta) < 0:
+            return 0
+        if mu not in memo:
+            total = 0
+            for alpha in coroots:
+                k = 1
+                while all(x >= k * a for x, a in zip(delta, alpha)):  # mu + k alpha <= lam
+                    up = tuple(x + k * a for x, a in zip(mu, alpha))
+                    total += mult(up) * form(up, alpha)
+                    k += 1
+            gap = form(tuple(x + y for x, y in zip(lam, mu)), delta) + 2 * sum(di * x for di, x in zip(d, delta))
+            memo[mu] = 2 * total / gap if any(delta) else 1
+        return memo[mu]
+
+    return mult
+
+
+def kostka_from_weights(rs, trace, pairs):
+    """{(lam, mu): K_{lam,mu}(t)} over ``pairs``, from ``trace(theta)``."""
+    kostant_t = t_kostant(rs, trace)
+    orbits, out = {}, {}
+    for lam, mu in pairs:
+        if lam not in orbits:
+            orbits[lam] = dot_orbit(rs.cartan, lam)
+        total = LaurentPoly.zero()
+        for v, sign in orbits[lam].items():
+            gamma = tuple(int(x - y) for x, y in zip(v, mu))  # w . lam - mu lies in the coroot lattice
+            if min(gamma) >= 0:
+                total = total + sign * kostant_t(gamma)
+        out[lam, mu] = total
+    return out
+
+
+def kostka_mismatches(rs, trace, pairs):
+    """The pairs whose K(t) from ``trace`` has a negative coefficient or K(1) other than dim V(lam)_mu."""
+    multiplicity = {}
+    bad = []
+    for (lam, mu), value in kostka_from_weights(rs, trace, pairs).items():
+        if lam not in multiplicity:
+            multiplicity[lam] = freudenthal(rs.cartan, rs.positive_coroots, lam)
+        coefficients = [c for _, c in value.to_pairs()]
+        if min(coefficients, default=0) < 0 or sum(coefficients) != multiplicity[lam](mu):
+            bad.append((lam, mu))
+    return bad
+
+
+@pytest.mark.parametrize("name", ["kostant", "series", "oracle"])
+@pytest.mark.parametrize("series,rank", list(WEIGHT_TOPS))
+def test_kostka_foulkes_beyond_type_a(series, rank, name):
+    rs = root_system(series, rank)
+    pairs = weight_pairs(rs.cartan, WEIGHT_TOPS[series, rank])
+    assert any(any(mu) for _, mu in pairs)
+    # w . lam - mu <= lam - mu, so the series needs no theta taller than the tallest lam - mu
+    top = max(int(sum(lam) - sum(mu)) for lam, mu in pairs)
+    assert kostka_mismatches(rs, route(rs, name, top), pairs) == []
+
+
+@pytest.mark.parametrize("series,rank", list(WEIGHT_TOPS))
+def test_q_minus_three_at_a_simple_coroot_beyond_type_a_is_caught(series, rank):
+    rs = root_system(series, rank)
+    simple = rs.positive_coroots[0]
+
+    def corrupted(theta):
+        return trace_kostant_sum(rs, theta) + (LaurentPoly.q_power(-3) if theta == simple else 0)
+
+    assert kostka_mismatches(rs, corrupted, weight_pairs(rs.cartan, WEIGHT_TOPS[series, rank]))

@@ -108,6 +108,12 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="not a pair of integers"):
             LaurentPoly.from_pairs([pair])
 
+    @pytest.mark.parametrize("pairs", [None, [5], 3], ids=["null", "bare-integer-pair", "integer"])
+    def test_non_list_pairs_rejected(self, pairs):
+        # each raised TypeError before
+        with pytest.raises(ValueError, match="not a list of pairs"):
+            LaurentPoly.from_pairs(pairs)
+
     @pytest.mark.parametrize("pairs", [[[0, 1], [0, 2]], [[0, 1], [1, 0]], [[1, -1], [0, 1]]],
                              ids=["repeated-exponent", "zero-coefficient", "unsorted"])
     def test_pairs_to_pairs_does_not_write_rejected(self, pairs):

@@ -154,6 +154,12 @@ class TestDefectPoset:
         assert poset.elements == ((0, 0),)
         assert poset.covers == ()
 
+    @pytest.mark.parametrize("bound", [True, 2.0, -1], ids=["boolean", "float", "negative"])
+    def test_bad_bound_rejected(self, bound):
+        # True was a bound of 1 whose JSON said "bound": true, and 2.0 raised TypeError
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
+            defect_poset(root_system("A", 2), ParabolicType(), bound)
+
     def test_a2_bound_two(self):
         poset = defect_poset(root_system("A", 2), ParabolicType(), 2)
         assert len(poset.elements) == 6
