@@ -86,8 +86,8 @@ def gk_product_series(rs: RootSystem, height_bound: int, box: Sequence[int] | No
     decreasing height, S[v] -= S[v - beta], so S[v - beta] is not yet
     multiplied.  The rows become Laurent polynomials once, at the end.
     """
-    if height_bound < 0:
-        raise ValueError("height bound must be >= 0")
+    if type(height_bound) is not int or height_bound < 0:
+        raise ValueError(f"height bound must be >= 0 and an integer, got {height_bound!r}")
     if box is None:
         region = [v for h in range(height_bound + 1) for v in compositions_of(h, rs.rank)]
     else:

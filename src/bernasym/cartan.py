@@ -146,47 +146,20 @@ def series_cartan(series: str, rank: int) -> CartanMatrix:
     if not (lo <= rank <= hi):
         raise ValueError(f"series {series} is supported for rank {lo}..{hi}, got {rank}")
     n = rank
+    chain = [(i, i + 1, -1, -1) for i in range(n - 1)]
+    # Dynkin edges (i, j, a_ij, a_ji); the short end of a multiple bond is the vertex whose row holds -2 or -3
+    edges = {
+        "A": chain,
+        "B": chain[:-1] + [(n - 2, n - 1, -1, -2)],  # vertex n-1 short
+        "C": chain[:-1] + [(n - 2, n - 1, -2, -1)],  # vertex n-1 long, the others short
+        "D": chain[:-1] + [(n - 3, n - 1, -1, -1)] if n > 2 else [],  # n-2 and n-1 fork from n-3; D2 has no edge
+        "E": [(0, 2, -1, -1), (1, 3, -1, -1)] + chain[2:],  # 0 and 1 hang off the chain 2..n-1
+        "F": [(0, 1, -1, -1), (1, 2, -1, -2), (2, 3, -1, -1)],  # vertices 2 and 3 short
+        "G": [(0, 1, -3, -1)],  # vertex 0 short
+    }[series]
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def bond(i: int, j: int, a_ij: int = -1, a_ji: int = -1) -> None:
-        m[i][j] = a_ij
-        m[j][i] = a_ji
-
-    if series == "A":
-        for i in range(n - 1):
-            bond(i, i + 1)
-    elif series == "B":
-        # vertex n-1 is the short root
-        for i in range(n - 1):
-            bond(i, i + 1)
-        m[n - 1][n - 2] = -2
-    elif series == "C":
-        # vertex n-1 is the long root
-        for i in range(n - 1):
-            bond(i, i + 1)
-        m[n - 2][n - 1] = -2
-    elif series == "D":
-        # chain 0..n-3 with both n-2 and n-1 attached to n-3 (no edges for n=2)
-        for i in range(n - 3):
-            bond(i, i + 1)
-        if n >= 3:
-            bond(n - 3, n - 2)
-            bond(n - 3, n - 1)
-    elif series == "E":
-        edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
-        if n >= 7:
-            edges.append((5, 6))
-        if n == 8:
-            edges.append((6, 7))
-        for i, j in edges:
-            bond(i, j)
-    elif series == "F":
-        bond(0, 1)
-        bond(1, 2, -1, -2)
-        bond(2, 3)
-    elif series == "G":
-        # vertex 0 short, vertex 1 long
-        bond(0, 1, -3, -1)
+    for i, j, a_ij, a_ji in edges:
+        m[i][j], m[j][i] = a_ij, a_ji
     return tuple(tuple(row) for row in m)
 
 
@@ -245,6 +218,8 @@ class RootSystemSpec(Value):
 
     def __init__(self, series: str | None = None, rank: int | None = None,
                  cartan: CartanMatrix | None = None, label: str | None = None) -> None:
+        if label is not None and type(label) is not str:  # it becomes the name that JSON writes and the hash reads
+            raise ValueError(f"label {label!r} must be a string")
         if cartan is not None:
             if series is not None or rank is not None:
                 raise ValueError("give either series/rank or an explicit Cartan matrix, not both")
@@ -362,9 +337,6 @@ class ParabolicType(Value):
         for v in self.levi_vertices:
             if v >= rs.rank:
                 raise ValueError(f"Levi vertex {v} is out of range for rank {rs.rank}")
-
-
-QuotientCoweight = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,10 @@ class LaurentPoly:
         return self + (-other)
 
     def __rsub__(self, other: int) -> "LaurentPoly":
-        return LaurentPoly.constant(other) - self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = self._coerce(other)

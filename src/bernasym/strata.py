@@ -12,8 +12,8 @@ import itertools
 from typing import Sequence
 
 from .cartan import (
+    Coweight,
     ParabolicType,
-    QuotientCoweight,
     RootSystem,
     Value,
     check_coweight,
@@ -50,7 +50,7 @@ class DefectStratumIndex(Value):
     __slots__ = ("levi_vertices", "total", "parts")
 
     @property
-    def defect(self) -> QuotientCoweight:
+    def defect(self) -> Coweight:
         return self.parts[1]
 
 
@@ -80,7 +80,7 @@ class DefectPoset(Value):
 
     def to_dot(self) -> str:
         """DOT digraph; nodes carry coordinates and codimension, edges are covers."""
-        def name(v: QuotientCoweight) -> str:
+        def name(v: Coweight) -> str:
             return "_".join(str(x) for x in v) or "0"
 
         lines = ["digraph defect_poset {", "  rankdir=BT;"]
@@ -98,7 +98,7 @@ def defect_poset(rs: RootSystem, p: ParabolicType, bound: int) -> DefectPoset:
     p.validate(rs)
     quotient_rank = rs.rank - len(p.levi_vertices)
     elements = tuple(coweights_up_to_height(quotient_rank, bound))
-    covers: list[tuple[QuotientCoweight, QuotientCoweight]] = []
+    covers: list[tuple[Coweight, Coweight]] = []
     for v in elements:
         if height(v) + 1 > bound:
             continue

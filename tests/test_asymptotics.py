@@ -262,6 +262,12 @@ class TestSeries:
         with pytest.raises(ValueError, match="height bound must be >= 0"):
             gk_product_series(root_system("A", 2), -1)
 
+    @pytest.mark.parametrize("bound", [True, 2.0], ids=repr)
+    def test_non_integer_bound_rejected(self, bound):
+        # True was read as the bound 1 and 2.0 raised a TypeError from range
+        with pytest.raises(ValueError, match="height bound must be >= 0 and an integer"):
+            gk_product_series(root_system("A", 2), bound)
+
     def test_bound_zero_product_is_unit(self):
         for series, rank in [("A", 1), ("B", 2), ("G", 2)]:
             assert gk_product_series(root_system(series, rank), 0).terms() == [((0,) * rank, ONE)]
@@ -514,6 +520,7 @@ class TestDivisors:
         rs = root_system("A", 1)
         d = parse_divisor("x:1;y:1", 1)
         assert divisor_trace(rs, d) == LaurentPoly({0: 1, 1: -2, 2: 1})
+        assert parse_divisor("x:1;;y:1;", 1) == d  # empty chunks are skipped
 
     def test_single_point_reduces(self):
         rs = root_system("A", 2)

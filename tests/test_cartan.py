@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from closed_forms import CLOSED_FORM_COUNTS, exponents
+from closed_forms import CLOSED_FORM_COUNTS, exponents, highest_coroot
 
 import bernasym
 from bernasym.asymptotics import AsympTable, ColoredDivisor, GKSeries, build_asymp_table, gk_product_series
@@ -138,6 +138,13 @@ class TestGeneration:
     def test_spec_label(self):
         spec = RootSystemSpec(cartan=((2,),), label="my-a1")
         assert build_root_system(spec).name == "my-a1"
+
+    @pytest.mark.parametrize("label", [5, ["x"]], ids=repr)
+    def test_non_string_label_rejected(self, label):
+        # 5 named a system whose JSON did not load back; ["x"] made an unhashable one
+        for spec in ({"series": "A", "rank": 2}, {"cartan": ((2,),)}):
+            with pytest.raises(ValueError, match="must be a string"):
+                RootSystemSpec(**spec, label=label)
 
 
 class TestValidation:
@@ -362,6 +369,9 @@ def norm_criterion_failures(cartan, coroots) -> list:
     return failures
 
 
+NAMED_UP_TO_RANK_16 = ([(s, r) for s, low in zip("ABCD", (1, 2, 2, 2)) for r in range(low, 17)]
+                       + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
 CONNECTED_UP_TO_RANK_6 = ([("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 7)]
                           + [("C", r) for r in range(2, 7)] + [("D", r) for r in range(3, 7)]
                           + [("E", 6), ("F", 4), ("G", 2)])
@@ -375,10 +385,18 @@ class TestCorootList:
     fixes how many there are: together the two checks fix the exact set.
     """
 
-    @pytest.mark.parametrize("series,rank", [(s, r) for s, low in zip("ABCD", (1, 2, 2, 2)) for r in range(low, 17)]
-                             + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+    @pytest.mark.parametrize("series,rank", NAMED_UP_TO_RANK_16)
     def test_heights_follow_exponents(self, series, rank):
         assert heights_follow_exponents(root_system(series, rank).positive_coroots, series, rank)
+
+    @pytest.mark.parametrize("series,rank", NAMED_UP_TO_RANK_16)
+    def test_highest_coroot_pins_the_labeling(self, series, rank):
+        # heights and norms do not change when the vertices are relabeled; the highest coroot does
+        coroots = root_system(series, rank).positive_coroots
+        if (series, rank) == ("D", 2):  # A1 x A1 has no highest coroot
+            assert set(coroots) == {(1, 0), (0, 1)}
+        else:
+            assert coroots[-1] == highest_coroot(series, rank)
 
     @pytest.mark.parametrize("series,rank", CONNECTED_UP_TO_RANK_6)
     def test_norm_criterion(self, series, rank):

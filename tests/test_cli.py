@@ -361,6 +361,9 @@ class TestDivisor:
                 capsys, "--type", "A", "--rank", "1", "--divisor", bad, "divisor"
             )
             assert code == EXIT_USAGE, bad
+        code, out, err = run(capsys, "--type", "A", "--rank", "1", "divisor")  # no --divisor at all
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: divisor needs --divisor")
 
 
 class TestConfigAndSpec:

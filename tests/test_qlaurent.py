@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
@@ -53,6 +54,18 @@ class TestArithmetic:
         assert 1 - Q == ONE_MINUS_Q
         assert 2 * Q == LaurentPoly({1: 2})
         assert Q + 0 == Q
+
+    @pytest.mark.parametrize("other", [True, 1.5, "x"], ids=repr)
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=lambda op: op.__name__)
+    def test_only_exact_ints_coerce(self, op, other):
+        # bool, float and str are refused on either side: NotImplemented from both operands makes a TypeError
+        for left, right in [(Q, other), (other, Q)]:
+            with pytest.raises(TypeError):
+                op(left, right)
+
+    def test_bool_is_not_a_constant(self):
+        assert (ONE == True) is False  # noqa: E712 (the comparison under test)
+        assert (ONE != True) is True  # noqa: E712
 
     def test_exact_big_coefficients(self):
         import math
