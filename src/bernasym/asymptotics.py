@@ -206,20 +206,23 @@ class ColoredDivisor(Value):
     __slots__ = ("points",)
 
     def __init__(self, points: Sequence[tuple[str, Sequence[int]]]) -> None:
-        normalized = tuple((str(label), tuple(theta)) for label, theta in points)
+        normalized = []
+        for label, theta in points:
+            if type(label) is not str:  # it names the point, as a label names a RootSystemSpec
+                raise ValueError(f"divisor point label {label!r} must be a string")
+            theta = check_coweight(theta, None, f"divisor part at {label!r}")
+            if not any(theta):
+                raise ValueError(f"divisor part at {label!r} is zero; drop the point instead")
+            normalized.append((label, theta))
         if len({label for label, _ in normalized}) != len(normalized):
             raise ValueError("divisor point labels must be pairwise distinct")
-        for label, theta in normalized:
-            if not any(check_coweight(theta, len(theta), f"divisor part at {label!r}")):
-                raise ValueError(f"divisor part at {label!r} is zero; drop the point instead")
-        super().__init__(normalized)
+        super().__init__(tuple(normalized))
 
 
 def parse_divisor(text: str, rank: int) -> ColoredDivisor:
     """Parse `label:n1,n2;label2:m1,m2` into a ColoredDivisor; empty text is the empty divisor."""
-    text = text.strip()
-    if not text:
-        return ColoredDivisor(points=())
+    if type(rank) is not int or rank < 0:
+        raise ValueError(f"rank {rank!r} must be an integer >= 0")
     points: list[tuple[str, Coweight]] = []
     for chunk in text.split(";"):
         chunk = chunk.strip()

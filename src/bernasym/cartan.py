@@ -41,10 +41,14 @@ def height(vector: Sequence[int]) -> int:
     return sum(vector)
 
 
-def check_coweight(theta: Sequence[int], length: int, what: str) -> Coweight:
-    """theta as a tuple of ``length`` coordinates, each of type exactly int and >= 0; else a ValueError naming what."""
-    theta = tuple(theta)  # built-ins in one frame: every table checks each of its thetas here
-    if len(theta) != length:
+def check_coweight(theta: Sequence[int], length: int | None, what: str) -> Coweight:
+    """theta as a tuple of ``length`` (None: any number of) coordinates, each of type exactly int and >= 0;
+    else a ValueError naming what."""
+    try:
+        theta = tuple(theta)  # built-ins in one frame: every table checks each of its thetas here
+    except TypeError:  # not iterable: 5 or None
+        raise ValueError(f"{what} {theta!r} is not a sequence of integers") from None
+    if length is not None and len(theta) != length:
         raise ValueError(f"{what} {theta} has length {len(theta)}, expected {length}")
     if not {int}.issuperset(map(type, theta)):
         raise ValueError(f"{what} {theta} has a coordinate that is not an integer")
@@ -330,8 +334,7 @@ class ParabolicType(Value):
     __slots__ = ("levi_vertices",)
 
     def __init__(self, levi_vertices: Sequence[int] = ()) -> None:
-        levi_vertices = tuple(levi_vertices)
-        super().__init__(tuple(sorted(set(check_coweight(levi_vertices, len(levi_vertices), "Levi vertex list")))))
+        super().__init__(tuple(sorted(set(check_coweight(levi_vertices, None, "Levi vertex list")))))
 
     def validate(self, rs: RootSystem) -> None:
         for v in self.levi_vertices:
@@ -357,8 +360,9 @@ def compositions_of(total: int, parts: int) -> Iterable[tuple[int, ...]]:
 
 def coweights_up_to_height(rank: int, bound: int) -> list[Coweight]:
     """All positive coweights of height <= bound, sorted by (height, lex)."""
-    if type(bound) is not int or bound < 0:
-        raise ValueError(f"height bound {bound!r} must be an integer >= 0")
+    for what, count in (("rank", rank), ("height bound", bound)):
+        if type(count) is not int or count < 0:
+            raise ValueError(f"{what} {count!r} must be an integer >= 0")
     out: list[Coweight] = []
     for h in range(bound + 1):
         out.extend(compositions_of(h, rank))

@@ -215,7 +215,7 @@ def partition_from_json(rs: RootSystem, data: list[list]) -> KostantPartition:
             if type(n) is not int or n < 1:
                 raise ValueError(f"multiplicity {n!r} is not an integer >= 1")
             multiplicities[index[beta]] = n
-    except TypeError as exc:  # data, a pair or a vector is not iterable
+    except TypeError as exc:  # data or one of its pairs is not iterable
         raise ValueError(f"partition data {data!r} is not a list of [coroot, multiplicity] pairs") from exc
     parts = tuple(sorted(multiplicities.items()))
     weight = tuple(sum(n * rs.positive_coroots[i][k] for i, n in parts) for k in range(rs.rank))

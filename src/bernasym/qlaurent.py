@@ -7,7 +7,21 @@ no zero entries; the canonical form is unique, and equality is dict equality.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
+
+from .cartan import Value
+
+
+def _operands(method: Callable) -> Callable:
+    """method behind the one operand rule: an exact int becomes a constant, a LaurentPoly passes, and
+    anything else (bool, float, str, ...) is NotImplemented, so the operator raises TypeError and == is False."""
+    def gated(self: "LaurentPoly", other: object) -> object:
+        if type(other) is int:
+            other = LaurentPoly({0: other})
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return method(self, other)
+    return gated
 
 
 class LaurentPoly:
@@ -46,18 +60,8 @@ class LaurentPoly:
 
     # -- ring structure -------------------------------------------------
 
-    @staticmethod
-    def _coerce(x: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(x, LaurentPoly):
-            return x
-        if type(x) is int:
-            return LaurentPoly.constant(x)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    @_operands
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self._terms)
         for e, c in other._terms.items():
             out[e] = out.get(e, 0) + c
@@ -68,22 +72,16 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self._terms.items()})
 
-    def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    @_operands
+    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
-    def __rsub__(self, other: int) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    @_operands
+    def __rsub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return other - self
 
-    def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    @_operands
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -93,11 +91,12 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of a polynomial are not defined here")
+    @_operands
+    def __pow__(self, n: "LaurentPoly") -> "LaurentPoly":
+        if not n._terms.keys() <= {0} or n.coefficient(0) < 0:  # n is an int, made a constant by the gate
+            raise ValueError(f"exponent {n} is not an integer >= 0")
         result = LaurentPoly.one()
-        for _ in range(n):
+        for _ in range(n.coefficient(0)):
             result = result * self
         return result
 
@@ -106,11 +105,8 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is int:
-            other = LaurentPoly.constant(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+    @_operands
+    def __eq__(self, other: "LaurentPoly") -> bool:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
@@ -131,12 +127,9 @@ class LaurentPoly:
     def from_pairs(pairs: list[list[int]]) -> "LaurentPoly":
         """Read the JSON form back; ValueError unless ``to_pairs`` gives pairs back (sorted, no repeat, no 0)."""
         try:
-            for e, c in pairs:
-                if type(e) is not int or type(c) is not int:
-                    raise ValueError(f"wire pair {[e, c]} is not a pair of integers")
+            poly = LaurentPoly(dict(pairs))  # the constructor refuses a term that is not two ints
         except TypeError as exc:  # pairs, or one of its pairs, is not iterable
             raise ValueError(f"wire pairs {pairs!r} are not a list of pairs") from exc
-        poly = LaurentPoly(dict(pairs))
         if poly.to_pairs() != pairs:
             raise ValueError(f"wire pairs {pairs} need strictly increasing exponents and nonzero coefficients")
         return poly
@@ -166,10 +159,11 @@ class LaurentPoly:
         return f"LaurentPoly({self._terms!r})"
 
 
-class GrothendieckClass:
-    """Formal sum of shift/twist tokens [n](m) with integer multiplicities.
+class GrothendieckClass(Value):
+    """Formal sum of shift/twist tokens [n](m) with integer multiplicities, as a read-only value.
 
     The Frobenius-trace specialization sends [n](m) to (-1)^n * q^(-m).
+    A token of multiplicity 0 is dropped, so equal sums are equal values.
     """
 
     __slots__ = ("_terms",)
@@ -178,7 +172,7 @@ class GrothendieckClass:
         for (shift, twist), mult in terms.items():
             if type(shift) is not int or type(twist) is not int or type(mult) is not int:
                 raise ValueError(f"token [{shift!r}]({twist!r}) x {mult!r} is not made of integers")
-        self._terms = dict(terms)
+        super().__init__({token: mult for token, mult in terms.items() if mult})
 
     def trace(self) -> LaurentPoly:
         """Frobenius trace: each [n](m) contributes (-1)^n q^(-m) times its multiplicity."""

@@ -125,6 +125,9 @@ class TestKostantSum:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             trace_kostant_sum(root_system("A", 2), (1, -1))
+        for theta in (5, None):  # each raised TypeError: '...' object is not iterable
+            with pytest.raises(ValueError, match=f"theta {theta} is not a sequence of integers"):
+                trace_kostant_sum(root_system("A", 2), theta)
 
     @pytest.mark.parametrize("series,rank,bound", [("A", 3, 6), ("B", 3, 5), ("G", 2, 10)])
     def test_histogram_equals_per_partition_sum(self, series, rank, bound):
@@ -515,6 +518,7 @@ class TestOracleTriangle:
 class TestDivisors:
     def test_empty_divisor(self):
         assert divisor_trace(root_system("A", 1), ColoredDivisor(points=())) == ONE
+        assert parse_divisor("", 1) == parse_divisor("  ; ", 1) == ColoredDivisor(points=())
 
     def test_two_points_square(self):
         rs = root_system("A", 1)
@@ -545,6 +549,15 @@ class TestDivisors:
             parse_divisor("x:1,2", 1)  # wrong arity
         with pytest.raises(ValueError):
             parse_divisor("x:a", 1)
+        for rank in (True, 1.0, -1):  # True was read as rank 1
+            with pytest.raises(ValueError, match=f"rank {rank} must be an integer >= 0"):
+                parse_divisor("x:1", rank)
+
+    @pytest.mark.parametrize("label", [None, 5, ("x",)], ids=repr)
+    def test_non_string_label_rejected(self, label):
+        # None and 5 were kept as the labels 'None' and '5'
+        with pytest.raises(ValueError, match="must be a string"):
+            ColoredDivisor(points=((label, (1,)),))
 
     def test_factorization_coherence(self):
         # any bipartition of the points multiplies

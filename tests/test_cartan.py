@@ -38,7 +38,7 @@ from bernasym.cartan import (
 )
 from bernasym.cli import parse_key_values
 from bernasym.kostant import KostantPartition
-from bernasym.qlaurent import LaurentPoly
+from bernasym.qlaurent import GrothendieckClass, LaurentPoly
 from bernasym.strata import DefectPoset, DefectStratumIndex, ParabolicStratum, enumerate_local_strata
 
 
@@ -530,6 +530,7 @@ REPR_MAKERS = {
     **VALUE_MAKERS,
     "AsympTable": lambda: build_asymp_table(root_system("A", 2), 2, genus=1),
     "GKSeries": lambda: gk_product_series(root_system("A", 2), 2),
+    "GrothendieckClass": lambda: GrothendieckClass({(0, 0): 1, (3, 1): -2}),
 }
 
 
@@ -551,6 +552,7 @@ MISSING_FIELD = {
     RootSystem: lambda: RootSystem("A1", ((2,),)),
     ColoredDivisor: lambda: ColoredDivisor(),
     AsympTable: lambda: AsympTable(root_system("A", 1)),
+    GrothendieckClass: lambda: GrothendieckClass(),
 }
 
 
@@ -678,6 +680,12 @@ class TestQuotient:
         with pytest.raises(ValueError, match="not an integer"):
             ParabolicType(vertices)
 
+    @pytest.mark.parametrize("vertices", [5, None], ids=repr)
+    def test_non_sequence_levi_vertices_rejected(self, vertices):
+        # each raised TypeError: '...' object is not iterable
+        with pytest.raises(ValueError, match=f"Levi vertex list {vertices} is not a sequence of integers"):
+            ParabolicType(vertices)
+
     @pytest.mark.parametrize("vertices", [(-1,), (0, -2)], ids=["alone", "with-another"])
     def test_negative_levi_vertex_rejected(self, vertices):
         # refused at construction; a negative vertex used to pass until validate() saw the rank
@@ -702,6 +710,13 @@ class TestEnumeration:
 
     def test_bound_zero(self):
         assert coweights_up_to_height(3, 0) == [(0, 0, 0)]
+
+    @pytest.mark.parametrize("rank,bound,what", [(-1, 2, "rank -1"), (1.0, 2, "rank 1.0"), (True, 2, "rank True"),
+                                                 (2, -1, "height bound -1"), (2, 2.0, "height bound 2.0")])
+    def test_bad_rank_or_bound_rejected(self, rank, bound, what):
+        # rank -1 recursed until RecursionError, and rank 1.0 gave [(0,), (1,), (2,)]
+        with pytest.raises(ValueError, match=f"^{what} must be an integer >= 0$"):
+            coweights_up_to_height(rank, bound)
 
 
 class TestWireFormats:

@@ -142,6 +142,9 @@ class TestEnumeration:
             enumerate_partitions(rs, (-1, 0))
         with pytest.raises(ValueError):
             count_partitions(rs, (0, -2))
+        for theta in (5, None):  # each raised TypeError: '...' object is not iterable
+            with pytest.raises(ValueError, match=f"theta {theta} is not a sequence of integers"):
+                rs.check_positive_coweight(theta)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -353,6 +356,8 @@ class TestWireFormat:
             partition_from_json(rs, [[[1, 0], 1.9]])  # was read as multiplicity 1
         with pytest.raises(ValueError, match="integer"):
             partition_from_json(rs, [[[1.0, 0], 1]])
-        for data in (None, [5], [[5, 1]]):  # each raised TypeError before
+        for data in (None, [5]):  # each raised TypeError before
             with pytest.raises(ValueError, match="not a list of"):
                 partition_from_json(rs, data)
+        with pytest.raises(ValueError, match="theta 5 is not a sequence of integers"):  # check_coweight names it
+            partition_from_json(rs, [[5, 1]])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import operator
+import pickle
 import random
 
 import pytest
@@ -55,13 +57,21 @@ class TestArithmetic:
         assert 2 * Q == LaurentPoly({1: 2})
         assert Q + 0 == Q
 
-    @pytest.mark.parametrize("other", [True, 1.5, "x"], ids=repr)
-    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("other", [True, 1.5, "x", 2.0, "2"], ids=repr)
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.pow],
+                             ids=lambda op: op.__name__)
     def test_only_exact_ints_coerce(self, op, other):
-        # bool, float and str are refused on either side: NotImplemented from both operands makes a TypeError
+        # bool, float and str are refused on either side: NotImplemented from both operands makes a TypeError;
+        # as an exponent, True was read as 1 and 2.0 raised a TypeError from range
         for left, right in [(Q, other), (other, Q)]:
             with pytest.raises(TypeError):
                 op(left, right)
+
+    def test_exponent_is_an_int_or_its_constant(self):
+        assert Q ** 2 == Q ** LaurentPoly.constant(2) == LaurentPoly.q_power(2)
+        assert Q ** 0 == ONE
+        with pytest.raises(ValueError, match="exponent q is not an integer >= 0"):
+            Q ** Q
 
     def test_bool_is_not_a_constant(self):
         assert (ONE == True) is False  # noqa: E712 (the comparison under test)
@@ -118,7 +128,8 @@ class TestWireFormat:
 
     @pytest.mark.parametrize("pair", [[0, 1.5], [0.7, 2], [0, True]], ids=["coefficient", "exponent", "boolean"])
     def test_non_integer_pair_rejected(self, pair):
-        with pytest.raises(ValueError, match="not a pair of integers"):
+        # the constructor's refusal: from_pairs has no type check of its own
+        with pytest.raises(ValueError, match="integer exponent and coefficient"):
             LaurentPoly.from_pairs([pair])
 
     @pytest.mark.parametrize("pairs", [None, [5], 3], ids=["null", "bare-integer-pair", "integer"])
@@ -181,3 +192,23 @@ class TestGrothendieckClass:
             t2 = {(rng.randint(0, 6), rng.randint(-3, 3)): rng.randint(-4, 4) for _ in range(4)}
             both = {key: t1.get(key, 0) + t2.get(key, 0) for key in t1.keys() | t2.keys()}
             assert GrothendieckClass(both).trace() == GrothendieckClass(t1).trace() + GrothendieckClass(t2).trace()
+
+    def test_value_semantics(self):
+        # equality compared identity, and the repr was <bernasym.qlaurent.GrothendieckClass object at 0x...>
+        cls = GrothendieckClass({(0, 0): 1, (1, 2): -3})
+        assert cls == GrothendieckClass({(1, 2): -3, (0, 0): 1}) == GrothendieckClass(terms={(0, 0): 1, (1, 2): -3})
+        assert cls != GrothendieckClass({(0, 0): 1})
+        assert repr(cls) == "GrothendieckClass(terms={(0, 0): 1, (1, 2): -3})"
+        for clone in (copy.copy(cls), copy.deepcopy(cls), pickle.loads(pickle.dumps(cls))):
+            assert clone == cls and type(clone) is GrothendieckClass
+
+    def test_zero_multiplicity_dropped(self):
+        assert GrothendieckClass({(0, 0): 1, (1, 0): 0}) == GrothendieckClass({(0, 0): 1})
+
+    def test_fields_read_only(self):
+        cls = GrothendieckClass({(0, 0): 1})
+        for name in ("_terms", "terms", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(cls, name, {})
+        with pytest.raises(AttributeError):
+            del cls._terms

@@ -126,6 +126,9 @@ class TestLocalStrata:
             enumerate_local_strata(rs, ParabolicType(), (1,))
         with pytest.raises(ValueError):
             enumerate_local_strata(rs, ParabolicType(), (-1, 0))
+        for theta in (5, None):  # each raised TypeError: '...' object is not iterable
+            with pytest.raises(ValueError, match=f"quotient coweight {theta} is not a sequence of integers"):
+                enumerate_local_strata(rs, ParabolicType(), theta)
 
     def test_json_shape(self):
         rs = root_system("A", 1)
