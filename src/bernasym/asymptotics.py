@@ -164,7 +164,7 @@ def trace_grothendieck_oracle(rs: RootSystem, theta: Sequence[int]) -> LaurentPo
     q^<rho,theta>.  The pairs are found by one search that branches only over
     the non-simple coroots fitting in theta's box: each step picks the next
     one used, n >= 1 times in all, and puts either all n copies in K1 or
-    n - 1 in K1 and one in K2.  The simple coroots (height 1: the unit
+    n - 1 in K1 and one in K2.  The simple coroots (the first rank: the unit
     vectors) finish every node in closed form.  The remainder r is a sum of
     them, and each simple coroot with r_i >= 1 puts either all r_i copies in
     K1 or r_i - 1 in K1 and one in K2; so if r has s nonzero coordinates
@@ -172,10 +172,10 @@ def trace_grothendieck_oracle(rs: RootSystem, theta: Sequence[int]) -> LaurentPo
     |K2| by t, for t = 0..s.
     """
     theta = rs.check_positive_coweight(theta)
-    # coroots are sorted by height, so none after the first one taller than theta fits in its box
+    # the non-simple coroots follow the rank simple ones, by height: none after the first taller than theta fits
     bound = height(theta)
-    coroots = [beta for beta in takewhile(lambda beta: height(beta) <= bound, rs.positive_coroots)
-               if height(beta) > 1 and all(b <= t for b, t in zip(beta, theta))]
+    coroots = [beta for beta in takewhile(lambda beta: height(beta) <= bound, rs.positive_coroots[rs.rank:])
+               if all(b <= t for b, t in zip(beta, theta))]
     terms: dict[tuple[int, int], int] = {}
 
     def descend(i: int, remaining: Coweight, k1: int, k2: int) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from operator import sub
 from typing import Iterable, Sequence
 
 Coweight = tuple[int, ...]
@@ -248,20 +249,21 @@ class RootSystemSpec(Value):
 class RootSystem(Value):
     """Finite root datum: Cartan matrix plus the generated positive coroots.
 
-    ``positive_coroots`` are strictly sorted by (height, lexicographic
-    coordinates), and their height-1 entries are exactly the ``rank`` unit
-    vectors (the simple coroots); every route's pruning relies on that order.
+    ``positive_coroots`` are positive coweights of the rank, strictly sorted by (height, lexicographic
+    coordinates), and the first ``rank`` are the unit vectors (the simple coroots); every route reads the
+    simple coroots at that position and prunes by that order.
     """
 
     __slots__ = ("name", "cartan", "positive_coroots")
 
-    def __init__(self, name: str, cartan: CartanMatrix, positive_coroots: tuple[Coweight, ...]) -> None:
+    def __init__(self, name: str, cartan: CartanMatrix, positive_coroots: Iterable[Sequence[int]]) -> None:
+        rank = len(cartan)
+        positive_coroots = tuple(check_coweight(beta, rank, "positive coroot") for beta in positive_coroots)
         keys = [(height(beta), beta) for beta in positive_coroots]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("positive_coroots are not strictly sorted by (height, lex)")
-        units = sorted(tuple(int(k == i) for k in range(len(cartan))) for i in range(len(cartan)))
-        if [beta for beta in positive_coroots if height(beta) == 1] != units:
-            raise ValueError(f"the height-1 positive_coroots are not the {len(cartan)} unit vectors")
+        if list(positive_coroots[:rank]) != sorted(tuple(int(k == i) for k in range(rank)) for i in range(rank)):
+            raise ValueError(f"the first {rank} positive_coroots are not the {rank} unit vectors")
         super().__init__(name, cartan, positive_coroots)
 
     @property
@@ -347,15 +349,13 @@ class ParabolicType(Value):
 # ---------------------------------------------------------------------------
 
 
-def compositions_of(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative ints summing to `total`, lex ascending."""
+def compositions_of(total: int, parts: int) -> list[tuple[int, ...]]:
+    """All tuples of `parts` nonnegative ints summing to `total`, lex ascending.  Stars and bars: each tuple is
+    the steps from 0 to total through its partial sums 0 <= s_1 <= ... <= s_(parts-1) <= total, listed in lex order."""
     if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in compositions_of(total - first, parts - 1):
-            yield (first,) + rest
+        return [()] if total == 0 else []
+    return [tuple(map(sub, (*cuts, total), (0, *cuts)))
+            for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1)]
 
 
 def coweights_up_to_height(rank: int, bound: int) -> list[Coweight]:

@@ -3,9 +3,11 @@
 A partition of theta assigns a multiplicity n_beta >= 0 to each positive
 coroot so that sum n_beta * beta = theta.  Enumeration is one recursive
 search over the non-simple coroots in theta's box, in the canonical coroot
-order; the simple coroots (the unit vectors) finish every node in closed
-form, as the remainder r is r_k copies of the k-th unit vector, so every node
-is one partition.  The simple partitions (each multiplicity 1) are its
+order.  The simple coroots are read by position: ``RootSystem`` checks that
+its first rank coroots are the unit vectors, in lex order, and that the
+others follow by height.  They finish every node in closed form, as the
+remainder r is r_k copies of the k-th unit vector, so every node is one
+partition.  The simple partitions (each multiplicity 1) are its
 ``is_simple`` filter.  It serves ``trace`` and ``divisor``; the asymptotics
 table does not enumerate per theta, but fills every theta's (|R_K|, |K|)
 histogram by one search over its height region.
@@ -54,31 +56,24 @@ class KostantPartition(Value):
 def enumerate_partitions(rs: RootSystem, theta: Sequence[int]) -> list[KostantPartition]:
     """The complete duplicate-free list of Kostant partitions of theta."""
     theta = rs.check_positive_coweight(theta)
-    # only the coroots in theta's box can be used; each keeps its canonical index.
-    # The coroots are sorted by height, so the scan stops at the first one taller
-    # than theta, before comparing coordinates, and the simple coroots (height 1:
-    # the unit vectors) come first.  They are not searched; they finish every node.
-    bound = height(theta)
-    indices: list[int] = []  # canonical index of each simple coroot, then of each searched one
-    simple: list[int] = []  # the coordinate where each simple coroot is 1
+    # the first rank coroots are the simple ones, which finish every node; of the others, sorted by height, the
+    # search uses those in theta's box, each with its canonical index, and stops at the first taller than theta
+    rank, bound = rs.rank, height(theta)
+    indices = list(range(rank))  # canonical index of each simple coroot, then of each searched one
     fitting: list[Coweight] = []
-    for index, beta in enumerate(rs.positive_coroots):
-        step = height(beta)
-        if step > bound:
+    for index, beta in enumerate(rs.positive_coroots[rank:], rank):
+        if height(beta) > bound:
             break
-        if step == 1:
-            simple.append(beta.index(1))
-        elif all(b <= t for b, t in zip(beta, theta)):
+        if all(b <= t for b, t in zip(beta, theta)):
             fitting.append(beta)
-        else:
-            continue
-        indices.append(index)
+            indices.append(index)
     found: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = []
     used = [0] * len(fitting)
 
     def descend(i: int, remaining: Coweight) -> None:
-        # the remainder is a sum of simple coroots in exactly one way: r_k copies of the k-th unit vector
-        vector = tuple(remaining[k] for k in simple) + tuple(used)
+        # the remainder is a sum of simple coroots in exactly one way, r_k copies of the k-th unit vector; the
+        # simple coroots are the unit vectors in lex order, the last coordinate's first, so they take r reversed
+        vector = remaining[::-1] + tuple(used)
         found.append((vector, tuple((index, n) for index, n in zip(indices, vector) if n)))
         # pick the next non-simple coroot used (depth <= height(theta) / 2)
         for j in range(i, len(fitting)):

@@ -28,19 +28,23 @@ class LaurentPoly:
     """Integer Laurent polynomial in q, canonical (zero-free) sparse form.
 
     The constructor is the one place that makes the canonical form: it drops
-    zero coefficients and rejects an exponent or coefficient that is not an int.
+    zero coefficients and rejects terms that are not a mapping (None is the
+    zero polynomial) and an exponent or coefficient that is not an int.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, int] | None = None):
         self._terms: dict[int, int] = {}
-        if terms:
-            for e, c in terms.items():
-                if type(e) is not int or type(c) is not int:
-                    raise ValueError(f"term {c!r} q^{e!r} does not have an integer exponent and coefficient")
-                if c:
-                    self._terms[e] = c
+        try:
+            items = ({} if terms is None else terms).items()
+        except AttributeError:  # 0, "", [] or [(0, 1)]
+            raise ValueError(f"terms {terms!r} are not a mapping of exponents to coefficients") from None
+        for e, c in items:
+            if type(e) is not int or type(c) is not int:
+                raise ValueError(f"term {c!r} q^{e!r} does not have an integer exponent and coefficient")
+            if c:
+                self._terms[e] = c
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -55,8 +59,8 @@ class LaurentPoly:
         return LaurentPoly({0: c})
 
     @staticmethod
-    def q_power(exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return LaurentPoly({exponent: coefficient})
+    def q_power(exponent: int) -> "LaurentPoly":
+        return LaurentPoly({exponent: 1})
 
     # -- ring structure -------------------------------------------------
 
@@ -127,9 +131,10 @@ class LaurentPoly:
     def from_pairs(pairs: list[list[int]]) -> "LaurentPoly":
         """Read the JSON form back; ValueError unless ``to_pairs`` gives pairs back (sorted, no repeat, no 0)."""
         try:
-            poly = LaurentPoly(dict(pairs))  # the constructor refuses a term that is not two ints
-        except TypeError as exc:  # pairs, or one of its pairs, is not iterable
+            terms = dict(pairs)
+        except (TypeError, ValueError) as exc:  # pairs is not iterable, or one of its items is not a pair
             raise ValueError(f"wire pairs {pairs!r} are not a list of pairs") from exc
+        poly = LaurentPoly(terms)  # the constructor refuses a term that is not two ints
         if poly.to_pairs() != pairs:
             raise ValueError(f"wire pairs {pairs} need strictly increasing exponents and nonzero coefficients")
         return poly
@@ -169,10 +174,14 @@ class GrothendieckClass(Value):
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int]):
-        for (shift, twist), mult in terms.items():
-            if type(shift) is not int or type(twist) is not int or type(mult) is not int:
-                raise ValueError(f"token [{shift!r}]({twist!r}) x {mult!r} is not made of integers")
-        super().__init__({token: mult for token, mult in terms.items() if mult})
+        try:
+            items = terms.items()
+        except AttributeError:  # 5 or [((0, 0), 1)]
+            raise ValueError(f"terms {terms!r} are not a mapping of (shift, twist) tokens to multiplicities") from None
+        for token, mult in items:
+            if type(token) is not tuple or len(token) != 2 or not {int}.issuperset(map(type, (*token, mult))):
+                raise ValueError(f"token {token!r} x {mult!r} is not made of integers: a (shift, twist) and a count")
+        super().__init__({token: mult for token, mult in items if mult})
 
     def trace(self) -> LaurentPoly:
         """Frobenius trace: each [n](m) contributes (-1)^n q^(-m) times its multiplicity."""

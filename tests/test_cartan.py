@@ -202,9 +202,15 @@ class TestValidation:
             (((0, 1), (1, 1), (1, 0)), "strictly sorted"),  # a simple coroot after a taller one
             (((0, 1), (1, 0), (1, 0), (1, 1)), "strictly sorted"),  # a repeated coroot
             (((0, 1), (1, 1)), "unit vectors"),  # a simple coroot missing
-            (((0, 1), (1, 0), (2, -1), (1, 1)), "unit vectors"),  # a third height-1 entry
+            (((0, 1), (1, 0), (2, -1), (1, 1)), r"\(2, -1\) is not positive"),  # a third height-1 entry
+            # each of these was accepted, and build_asymp_table then raised or reported a route disagreement
+            (((0, 0), (0, 1), (1, 0), (1, 1)), "unit vectors"),  # a zero coroot first
+            (((1, -1), (0, 1), (1, 0), (1, 1)), r"\(1, -1\) is not positive"),  # a height-0 coroot first
+            (((0, 1), (1, 0), (1, 1, 0)), "has length 3, expected 2"),
+            (((0, 1), (1, 0), (1, 1.0)), "not an integer"),
         ],
-        ids=["reversed", "simple-late", "repeated", "simple-missing", "extra-height-one"],
+        ids=["reversed", "simple-late", "repeated", "simple-missing", "extra-height-one",
+             "zero-first", "negative-first", "length-3", "float-coordinate"],
     )
     def test_malformed_coroots_rejected(self, coroots, match):
         with pytest.raises(ValueError, match=match):
@@ -710,6 +716,16 @@ class TestEnumeration:
 
     def test_bound_zero(self):
         assert coweights_up_to_height(3, 0) == [(0, 0, 0)]
+
+    @pytest.mark.parametrize("rank", range(7))
+    def test_equals_the_sorted_box(self, rank):
+        for bound in range(6):
+            box = [v for v in itertools.product(range(bound + 1), repeat=rank) if sum(v) <= bound]
+            assert coweights_up_to_height(rank, bound) == sorted(box, key=lambda v: (sum(v), v))
+
+    def test_large_rank_count(self):
+        # C(66, 64) coweights of A64 up to height 2: 1, 64 and C(65, 2) of heights 0, 1, 2
+        assert len(coweights_up_to_height(64, 2)) == 2145
 
     @pytest.mark.parametrize("rank,bound,what", [(-1, 2, "rank -1"), (1.0, 2, "rank 1.0"), (True, 2, "rank True"),
                                                  (2, -1, "height bound -1"), (2, 2.0, "height bound 2.0")])

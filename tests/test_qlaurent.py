@@ -6,6 +6,7 @@ import copy
 import operator
 import pickle
 import random
+import re
 
 import pytest
 
@@ -97,6 +98,24 @@ class TestQueries:
         with pytest.raises(ValueError, match="integer exponent and coefficient"):
             LaurentPoly(terms)
 
+    @pytest.mark.parametrize("cls,terms", [(LaurentPoly, 5), (LaurentPoly, [(0, 1)]), (LaurentPoly, 0),
+                                           (LaurentPoly, []), (LaurentPoly, ""), (GrothendieckClass, 5),
+                                           (GrothendieckClass, [((0, 0), 1)]), (GrothendieckClass, None)],
+                             ids=lambda x: getattr(x, "__name__", repr(x)))
+    def test_non_mapping_terms_rejected(self, cls, terms):
+        # each raised AttributeError, except LaurentPoly of 0, [] or "", which gave the zero polynomial
+        with pytest.raises(ValueError, match=f"^terms {re.escape(repr(terms))} are not a mapping of"):
+            cls(terms)
+
+    def test_none_is_zero(self):
+        assert LaurentPoly(None) == LaurentPoly({}) == LaurentPoly.zero() == 0
+
+    def test_q_power_takes_only_an_exponent(self):
+        # its coefficient parameter had no caller; a scaled monomial is LaurentPoly({e: c})
+        assert LaurentPoly.q_power(-2) == LaurentPoly({-2: 1})
+        with pytest.raises(TypeError):
+            LaurentPoly.q_power(1, 3)
+
     def test_canonical_form_drops_zeros(self):
         assert LaurentPoly({0: 0, 1: 0}) == LaurentPoly.zero()
         assert not LaurentPoly({2: 1, 0: -1}) + LaurentPoly({0: 1, 2: -1})
@@ -132,9 +151,10 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="integer exponent and coefficient"):
             LaurentPoly.from_pairs([pair])
 
-    @pytest.mark.parametrize("pairs", [None, [5], 3], ids=["null", "bare-integer-pair", "integer"])
+    @pytest.mark.parametrize("pairs", [None, [5], 3, [[0, 1, 2]], "ab"],
+                             ids=["null", "bare-integer-pair", "integer", "triple", "string"])
     def test_non_list_pairs_rejected(self, pairs):
-        # each raised TypeError before
+        # the first three raised TypeError before, the last two dict's "dictionary update sequence" message
         with pytest.raises(ValueError, match="not a list of pairs"):
             LaurentPoly.from_pairs(pairs)
 
@@ -178,10 +198,11 @@ class TestGrothendieckClass:
         assert GrothendieckClass({(2, 1): 1}).trace() == LaurentPoly.q_power(-1)
 
     @pytest.mark.parametrize(
-        "terms", [{(1.5, 0): 1}, {(1, 0.2): 1}, {(1, 0): 1.9}, {(True, 0): 1}],
-        ids=["shift", "twist", "multiplicity", "boolean"],
+        "terms", [{(1.5, 0): 1}, {(1, 0.2): 1}, {(1, 0): 1.9}, {(True, 0): 1}, {(0,): 1}, {(0, 0, 0): 1}, {0: 1}],
+        ids=["shift", "twist", "multiplicity", "boolean", "short-token", "long-token", "bare-token"],
     )
     def test_non_integer_token_rejected(self, terms):
+        # (0,) raised an unpacking ValueError, (0, 0, 0) another, and 0 a TypeError
         with pytest.raises(ValueError, match="not made of integers"):
             GrothendieckClass(terms)
 
