@@ -40,9 +40,9 @@ from .cartan import (
     coordinate_box,
     coweights_up_to_height,
     height,
+    load_exact,
     root_system_from_json,
     root_system_to_json,
-    same_json,
 )
 # count_partitions is not called here: it stays a module global for perfbench/traced.py, which wraps it
 from .kostant import count_partitions, count_region, enumerate_partitions
@@ -61,7 +61,7 @@ class GKSeries(Value):
     __slots__ = ("_terms",)
 
     def coefficient(self, theta: Sequence[int]) -> LaurentPoly:
-        theta = check_coweight(theta, len(next(iter(self._terms))), "theta")  # every key has the rank's length
+        theta = check_coweight(theta, len(next(iter(self._terms), ())) or None, "theta")  # the rank, or any if empty
         if theta not in self._terms:
             raise ValueError(f"{theta} is outside the series region; rebuild the series over a region holding it")
         return self._terms[theta]
@@ -375,14 +375,10 @@ def build_asymp_table(
 
 
 def asymp_table_from_json(obj: Mapping) -> AsympTable:
-    """Rebuild a table, which checks its height, genus and thetas; ValueError unless ``to_json_obj`` gives obj back."""
-    try:
+    """Rebuild a table, which checks its height, genus and thetas; ValueError unless ``load_exact`` passes it."""
+    def build(obj: Mapping) -> AsympTable:
         entries = ((record["theta"], LaurentPoly.from_pairs(record["trace"])) for record in obj["entries"])
-        table = AsympTable(root_system_from_json(obj["root_system"]), obj["height"], entries,
-                           obj.get("metadata", {}).get("genus"))
-        exact = same_json(table.to_json_obj(), obj)
-    except (KeyError, TypeError, AttributeError) as exc:  # a record or the metadata is not a dict, or lacks a key
-        raise ValueError(f"table JSON lacks or mistypes a field: {exc!r}") from exc
-    if not exact:
-        raise ValueError("table JSON is not what AsympTable.to_json_obj writes for its entries")
-    return table
+        return AsympTable(root_system_from_json(obj["root_system"]), obj["height"], entries,
+                          obj.get("metadata", {}).get("genus"))
+
+    return load_exact(obj, build, AsympTable.to_json_obj, "table JSON", "AsympTable.to_json_obj")

@@ -1,8 +1,9 @@
 """Root-system engine for finite Cartan data.
 
 Builds the positive coroots of any finite-type Cartan matrix (named series
-A-G or an explicit matrix), computes heights and the rho-pairing, and checks
-every integer vector the library is handed (``check_coweight``).
+A-G or an explicit matrix), computes heights and the rho-pairing, checks
+every integer vector the library is handed (``check_coweight``), and holds
+the one rule every JSON loader follows (``load_exact``).
 
 Conventions
 -----------
@@ -20,10 +21,11 @@ from __future__ import annotations
 import itertools
 import json
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 Coweight = tuple[int, ...]
 CartanMatrix = tuple[tuple[int, ...], ...]
+T = TypeVar("T")
 
 #: inclusive rank ranges for the recognized series
 SERIES_RANK_RANGES: dict[str, tuple[int, int]] = {
@@ -307,17 +309,10 @@ def positive_roots_of(matrix: CartanMatrix) -> list[tuple[int, ...]]:
     return sorted(roots, key=lambda b: (height(b), b))
 
 
-def _from_cartan(name: str, matrix: CartanMatrix) -> RootSystem:
-    """The RootSystem of a validated matrix: its coroots are the positive roots of the transpose."""
-    n = len(matrix)
-    transpose = tuple(tuple(matrix[j][i] for j in range(n)) for i in range(n))
-    return RootSystem(name, matrix, tuple(positive_roots_of(transpose)))
-
-
 def build_root_system(spec: RootSystemSpec) -> RootSystem:
-    """Construct the RootSystem for a spec, generating its positive coroots."""
+    """Construct the RootSystem for a spec: its positive coroots are the positive roots of the transposed matrix."""
     matrix = spec.cartan if spec.cartan is not None else series_cartan(spec.series, spec.rank)
-    return _from_cartan(spec.name, matrix)
+    return RootSystem(spec.name, matrix, positive_roots_of(tuple(zip(*matrix))))
 
 
 def root_system(series: str, rank: int) -> RootSystem:
@@ -389,21 +384,22 @@ def root_system_to_json(rs: RootSystem) -> dict:
     }
 
 
-def same_json(written: object, given: object) -> bool:
-    """Whether given is exactly written: equal, and equal as JSON text, so 1.0 or True is not 1 and (1,) is not [1]."""
-    return written == given and json.dumps(written, sort_keys=True) == json.dumps(given, sort_keys=True)
+def load_exact(data: object, build: Callable[[object], T], write: Callable[[T], object], what: str, writer: str) -> T:
+    """The one loader rule: build(data), refused unless write gives data back, equal as values and as JSON text
+    with sorted keys (so 1.0 or True is not 1 and (1,) is not [1]).  That refusal, a missing key and a value of the
+    wrong JSON type are each a ValueError naming what and writer; build keeps the checks an echo cannot make."""
+    try:
+        value = build(data)
+        written = write(value)
+        exact = written == data and json.dumps(written, sort_keys=True) == json.dumps(data, sort_keys=True)
+    except (KeyError, TypeError, AttributeError) as exc:  # data is not a dict or list, lacks a key, or mistypes one
+        raise ValueError(f"{what} lacks or mistypes a field: {exc!r}") from exc
+    if not exact:
+        raise ValueError(f"{what} is not exactly what {writer} writes")
+    return value
 
 
 def root_system_from_json(obj: dict) -> RootSystem:
-    """Rebuild a RootSystem from its finite-type matrix; ValueError unless ``root_system_to_json`` gives obj back."""
-    try:
-        validate_cartan_matrix(obj["cartan"])
-        rs = _from_cartan(str(obj["name"]), tuple(tuple(row) for row in obj["cartan"]))
-        exact = same_json(root_system_to_json(rs), obj)
-    except (KeyError, TypeError) as exc:  # obj is not a dict, lacks a key, or holds a value JSON cannot write
-        raise ValueError(f"root-system JSON lacks or mistypes a field: {exc!r}") from exc
-    if not exact:
-        raise ValueError(f"the labels, positive_coroots, heights or keys of {rs.name!r} differ from those"
-                         " root_system_to_json writes for its matrix")
-    return rs
-
+    """Rebuild a RootSystem from its name and matrix as the CLI does; ValueError unless ``load_exact`` passes it."""
+    return load_exact(obj, lambda obj: build_root_system(RootSystemSpec(cartan=obj["cartan"], label=obj["name"])),
+                      root_system_to_json, "root-system JSON", "root_system_to_json")

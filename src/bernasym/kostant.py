@@ -26,17 +26,17 @@ from bisect import bisect_right
 from operator import add
 from typing import Sequence
 
-from .cartan import Coweight, RootSystem, Value, _from_cartan, coordinate_box, height, validate_cartan_matrix
+from .cartan import Coweight, RootSystem, RootSystemSpec, Value, build_root_system, coordinate_box, height, load_exact
 
 
 class KostantPartition(Value):
     """Multiset of positive coroots, recorded as (coroot index, multiplicity >= 1) pairs.
 
     Indices refer to the owning root system's canonical coroot order and the
-    pairs are sorted by index; ``weight`` caches the coweight the parts sum to.
+    pairs are sorted by index; the coweight they sum to is not stored.
     """
 
-    __slots__ = ("parts", "weight")
+    __slots__ = ("parts",)
 
     @property
     def size(self) -> int:
@@ -86,7 +86,7 @@ def enumerate_partitions(rs: RootSystem, theta: Sequence[int]) -> list[KostantPa
     descend(0, theta)
     # ascending lex order of the multiplicity vectors: coroots outside the box are 0 in every one
     found.sort()
-    return [KostantPartition(parts=parts, weight=theta) for _, parts in found]
+    return [KostantPartition(parts) for _, parts in found]
 
 
 # -- counting (independent dynamic program) ---------------------------------
@@ -168,7 +168,7 @@ def count_cache_load(path: str) -> int:
     """Load previously saved counts; returns the number of records loaded.
 
     Every record is checked (its shape, integer fields, a finite-type matrix)
-    before any root system is built; a bad file raises ValueError and loads nothing.
+    and its root system built as the CLI builds it; a bad file raises ValueError and loads nothing.
     """
     with open(path, encoding="utf-8") as fh:
         records = json.load(fh)
@@ -179,11 +179,10 @@ def count_cache_load(path: str) -> int:
         if not (isinstance(record, list) and len(record) == 5 and isinstance(record[0], list)):
             raise ValueError(f"count cache record {record!r} is not [cartan, labels, name, theta, count]")
         cartan, labels, name, theta, count = record
-        validate_cartan_matrix(cartan)
-        if not (labels == list(range(len(cartan))) and isinstance(theta, list) and len(theta) == len(cartan)
-                and all(type(x) is int for x in theta) and isinstance(name, str) and type(count) is int):
-            raise ValueError(f"count cache record {record!r} has malformed labels, name, theta or count")
-        rs = _from_cartan(name, tuple(tuple(row) for row in cartan))
+        rs = build_root_system(RootSystemSpec(cartan=cartan, label=name))  # checks the matrix and the name's type
+        if not (labels == list(range(rs.rank)) and isinstance(theta, list) and len(theta) == rs.rank
+                and all(type(x) is int for x in theta) and type(count) is int):
+            raise ValueError(f"count cache record {record!r} has malformed labels, theta or count")
         loaded[(rs, tuple(theta))] = count
     with _COUNT_CACHE_LOCK:
         _COUNT_CACHE.update(loaded)
@@ -199,22 +198,18 @@ def partition_to_json(rs: RootSystem, partition: KostantPartition) -> list[list]
 
 
 def partition_from_json(rs: RootSystem, data: list[list]) -> KostantPartition:
-    """Rebuild a partition; ValueError unless ``partition_to_json`` gives data back (canonical order, no repeats)."""
+    """Rebuild a partition; ValueError unless ``load_exact`` passes it (canonical order, no repeats)."""
     index = {beta: i for i, beta in enumerate(rs.positive_coroots)}
-    multiplicities: dict[int, int] = {}
-    try:
+
+    def build(data: list[list]) -> KostantPartition:
+        multiplicities: dict[int, int] = {}
         for coords, n in data:
             beta = rs.check_positive_coweight(coords)
             if beta not in index:
                 raise ValueError(f"{beta} is not a positive coroot of {rs.name}")
-            if type(n) is not int or n < 1:
+            if type(n) is not int or n < 1:  # the writer would echo True or 0
                 raise ValueError(f"multiplicity {n!r} is not an integer >= 1")
             multiplicities[index[beta]] = n
-    except TypeError as exc:  # data or one of its pairs is not iterable
-        raise ValueError(f"partition data {data!r} is not a list of [coroot, multiplicity] pairs") from exc
-    parts = tuple(sorted(multiplicities.items()))
-    weight = tuple(sum(n * rs.positive_coroots[i][k] for i, n in parts) for k in range(rs.rank))
-    partition = KostantPartition(parts=parts, weight=weight)
-    if partition_to_json(rs, partition) != data:
-        raise ValueError(f"partition data {data} does not list its coroots in canonical order, each once")
-    return partition
+        return KostantPartition(tuple(sorted(multiplicities.items())))
+
+    return load_exact(data, build, lambda part: partition_to_json(rs, part), "partition JSON", "partition_to_json")

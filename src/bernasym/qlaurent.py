@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from .cartan import Value
+from .cartan import Value, load_exact
 
 
 def _operands(method: Callable) -> Callable:
@@ -129,15 +129,15 @@ class LaurentPoly:
 
     @staticmethod
     def from_pairs(pairs: list[list[int]]) -> "LaurentPoly":
-        """Read the JSON form back; ValueError unless ``to_pairs`` gives pairs back (sorted, no repeat, no 0)."""
-        try:
-            terms = dict(pairs)
-        except (TypeError, ValueError) as exc:  # pairs is not iterable, or one of its items is not a pair
-            raise ValueError(f"wire pairs {pairs!r} are not a list of pairs") from exc
-        poly = LaurentPoly(terms)  # the constructor refuses a term that is not two ints
-        if poly.to_pairs() != pairs:
-            raise ValueError(f"wire pairs {pairs} need strictly increasing exponents and nonzero coefficients")
-        return poly
+        """Read the JSON form back; ValueError unless ``load_exact`` passes it (sorted, no repeat, no 0)."""
+        def build(pairs: list[list[int]]) -> LaurentPoly:
+            try:
+                terms = dict(pairs)
+            except (TypeError, ValueError) as exc:  # pairs is not iterable, or one of its items is not a pair
+                raise ValueError(f"wire pairs {pairs!r} are not a list of pairs") from exc
+            return LaurentPoly(terms)  # the constructor refuses a term that is not two ints
+
+        return load_exact(pairs, build, LaurentPoly.to_pairs, "polynomial pairs", "LaurentPoly.to_pairs")
 
     # -- rendering ---------------------------------------------------------
 

@@ -15,6 +15,7 @@ import pytest
 from bernasym.asymptotics import (
     AsympTable,
     ColoredDivisor,
+    GKSeries,
     VerificationError,
     _kostant_sum,
     asymp_table_from_json,
@@ -237,6 +238,11 @@ class TestSeries:
         series = gk_product_series(root_system("A", 2), 4, box=(1, 1))
         with pytest.raises(ValueError, match="outside the series region"):
             series.coefficient(theta)
+
+    def test_empty_series_holds_no_theta(self):
+        # the rank was read off the first key, so an empty series raised StopIteration
+        with pytest.raises(ValueError, match="outside the series region"):
+            GKSeries(terms={}).coefficient((0,))
 
     def test_box_capped_by_the_height_bound(self):
         series = gk_product_series(root_system("A", 2), 1, box=(1, 1))
@@ -673,7 +679,7 @@ class TestTable:
          (lambda obj: obj.update(extra=1), "to_json_obj writes"),
          (lambda obj: obj.pop("metadata"), "to_json_obj writes"),
          (lambda obj: obj["entries"][0].update(height=0), "to_json_obj writes"),
-         (lambda obj: obj["entries"][1]["trace"].append([2, 0]), "nonzero coefficients"),
+         (lambda obj: obj["entries"][1]["trace"].append([2, 0]), "not exactly what LaurentPoly.to_pairs writes"),
          (lambda obj: obj["metadata"].update(dim_g=8.0), "to_json_obj writes"),
          (lambda obj: obj.pop("entries"), "lacks or mistypes"),
          (lambda obj: obj["root_system"].pop("cartan"), "lacks or mistypes"),

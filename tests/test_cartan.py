@@ -20,7 +20,14 @@ import pytest
 from closed_forms import CLOSED_FORM_COUNTS, exponents, highest_coroot
 
 import bernasym
-from bernasym.asymptotics import AsympTable, ColoredDivisor, GKSeries, build_asymp_table, gk_product_series
+from bernasym.asymptotics import (
+    AsympTable,
+    ColoredDivisor,
+    GKSeries,
+    asymp_table_from_json,
+    build_asymp_table,
+    gk_product_series,
+)
 from bernasym.cartan import (
     ParabolicType,
     RootSystem,
@@ -37,7 +44,7 @@ from bernasym.cartan import (
     validate_cartan_matrix,
 )
 from bernasym.cli import parse_key_values
-from bernasym.kostant import KostantPartition
+from bernasym.kostant import KostantPartition, enumerate_partitions, partition_from_json, partition_to_json
 from bernasym.qlaurent import GrothendieckClass, LaurentPoly
 from bernasym.strata import DefectPoset, DefectStratumIndex, ParabolicStratum, enumerate_local_strata
 
@@ -218,7 +225,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("series,rank", SERIES_UNDER_TEST)
     def test_generated_coroots_accepted(self, series, rank):
-        # the coroots that _from_cartan generates, and a pickled copy
+        # the coroots that build_root_system generates, and a pickled copy
         rs = root_system(series, rank)
         assert pickle.loads(pickle.dumps(rs)) == rs
 
@@ -523,7 +530,7 @@ class TestRhoPairing:
 VALUE_MAKERS = {
     "RootSystem": lambda: root_system("A", 2),
     "RootSystemSpec": lambda: RootSystemSpec(series="B", rank=2),
-    "KostantPartition": lambda: KostantPartition(parts=((0, 1), (2, 1)), weight=(1, 1)),
+    "KostantPartition": lambda: KostantPartition(parts=((0, 1), (2, 1))),
     "ParabolicType": lambda: ParabolicType((2, 0)),
     "ColoredDivisor": lambda: ColoredDivisor(points=(("x", (1, 0)),)),
     "ParabolicStratum": lambda: ParabolicStratum(levi_vertices=(1,), canonical_point=(0, 1)),
@@ -632,7 +639,7 @@ class TestValueSemantics:
     def test_unequal_fields(self):
         assert root_system("A", 2) != root_system("A", 3)
         assert ParabolicType((0,)) != ParabolicType((1,))
-        assert KostantPartition(((0, 1),), (1, 0)) != KostantPartition(((0, 2),), (2, 0))
+        assert KostantPartition(((0, 1),)) != KostantPartition(((0, 2),))
 
     def test_same_fields_different_classes_unequal(self):
         parabolic, divisor = ParabolicType(()), ColoredDivisor(points=())
@@ -757,22 +764,48 @@ class TestWireFormats:
         # with only the simple coroots, theta (1, 1) would get 1 - 2q + q^2 instead of 1 - q
         obj = root_system_to_json(root_system("A", 2))
         obj["positive_coroots"] = [[1, 0], [0, 1]]
-        with pytest.raises(ValueError, match="positive_coroots"):
+        with pytest.raises(ValueError, match="is not exactly what root_system_to_json writes"):
             root_system_from_json(obj)
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("labels", [0]), ("labels", [1, 0]), ("heights", [1, 1, 1]), ("extra", 1), ("name", 2),
-         ("labels", [0.0, True]), ("heights", [1.0, 1, 2])],
+        "field, value, match",
+        [("labels", [0], "root_system_to_json writes"), ("labels", [1, 0], "root_system_to_json writes"),
+         ("heights", [1, 1, 1], "root_system_to_json writes"), ("extra", 1, "root_system_to_json writes"),
+         ("name", 2, "label 2 must be a string"), ("labels", [0.0, True], "root_system_to_json writes"),
+         ("heights", [1.0, 1, 2], "root_system_to_json writes")],
         ids=["short-labels", "permuted-labels", "heights", "extra-key", "non-string-name", "float-boolean-labels",
              "float-heights"],
     )
-    def test_root_system_json_to_json_does_not_write_rejected(self, field, value):
+    def test_root_system_json_to_json_does_not_write_rejected(self, field, value, match):
         # each was read as A2 before
         obj = root_system_to_json(root_system("A", 2))
         obj[field] = value
-        with pytest.raises(ValueError, match="root_system_to_json writes"):
+        with pytest.raises(ValueError, match=match):
             root_system_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "load, write, edit",
+        [(LaurentPoly.from_pairs, lambda: LaurentPoly({0: 1}).to_pairs(), lambda pairs: dict(pairs)),
+         (LaurentPoly.from_pairs, lambda: LaurentPoly({0: 1}).to_pairs(), lambda pairs: [tuple(pairs[0])]),
+         (lambda data: partition_from_json(root_system("A", 2), data),
+          lambda: partition_to_json(root_system("A", 2), enumerate_partitions(root_system("A", 2), (1, 0))[0]),
+          tuple),
+         (root_system_from_json, lambda: root_system_to_json(root_system("A", 2)),
+          lambda obj: {**obj, "positive_coroots": tuple(obj["positive_coroots"])}),
+         (root_system_from_json, lambda: root_system_to_json(root_system("A", 2)),
+          lambda obj: {**obj, "cartan": tuple(obj["cartan"])}),
+         (root_system_from_json, lambda: root_system_to_json(root_system("A", 2)), lambda obj: {**obj, "name": ""}),
+         (asymp_table_from_json, lambda: build_asymp_table(root_system("A", 2), 1).to_json_obj(),
+          lambda obj: {**obj, "entries": tuple(obj["entries"])})],
+        ids=["pairs-as-object", "pair-as-tuple", "partition-as-tuple", "coroots-as-tuple", "cartan-as-tuple",
+             "empty-name", "entries-as-tuple"],
+    )
+    def test_every_loader_refuses_what_its_writer_does_not_write(self, load, write, edit):
+        # each loaded before, or was refused with the message of another cause
+        data = write()
+        load(data)  # the value as written loads
+        with pytest.raises(ValueError, match=r"is not exactly what \S+ writes$"):
+            load(edit(data))
 
     def test_parse_key_value_text(self):
         assert parse_key_values("type=A rank=3") == {"type": "A", "rank": "3"}

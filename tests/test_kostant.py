@@ -75,7 +75,7 @@ class TestEnumeration:
                     for i, n in k.parts:
                         for j, x in enumerate(rs.positive_coroots[i]):
                             total[j] += n * x
-                    assert tuple(total) == theta == k.weight
+                    assert tuple(total) == theta
                     assert len(k.support) <= k.size
                     assert (len(k.support) == k.size) == k.is_simple
 
@@ -348,16 +348,16 @@ class TestWireFormat:
             partition_from_json(rs, [[[-1, 0], 1]])
         with pytest.raises(ValueError):
             partition_from_json(rs, [[[1, 0], 0]])
-        with pytest.raises(ValueError, match="canonical order, each once"):
+        with pytest.raises(ValueError, match="is not exactly what partition_to_json writes"):
             partition_from_json(rs, [[[1, 0], 1], [[1, 0], 2]])
-        with pytest.raises(ValueError, match="canonical order, each once"):
+        with pytest.raises(ValueError, match="is not exactly what partition_to_json writes"):
             partition_from_json(rs, [[[1, 1], 1], [[1, 0], 1]])  # was read as the partition in canonical order
         with pytest.raises(ValueError, match="integer"):
             partition_from_json(rs, [[[1, 0], 1.9]])  # was read as multiplicity 1
         with pytest.raises(ValueError, match="integer"):
             partition_from_json(rs, [[[1.0, 0], 1]])
         for data in (None, [5]):  # each raised TypeError before
-            with pytest.raises(ValueError, match="not a list of"):
+            with pytest.raises(ValueError, match="partition JSON lacks or mistypes"):
                 partition_from_json(rs, data)
         with pytest.raises(ValueError, match="theta 5 is not a sequence of integers"):  # check_coweight names it
             partition_from_json(rs, [[5, 1]])
