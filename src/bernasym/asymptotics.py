@@ -36,10 +36,9 @@ from .cartan import (
     RootSystem,
     Value,
     check_coweight,
-    compositions_of,
-    coordinate_box,
     coweights_up_to_height,
     height,
+    height_region,
     load_exact,
     root_system_from_json,
     root_system_to_json,
@@ -86,13 +85,7 @@ def gk_product_series(rs: RootSystem, height_bound: int, box: Sequence[int] | No
     decreasing height, S[v] -= S[v - beta], so S[v - beta] is not yet
     multiplied.  The rows become Laurent polynomials once, at the end.
     """
-    if type(height_bound) is not int or height_bound < 0:
-        raise ValueError(f"height bound must be >= 0 and an integer, got {height_bound!r}")
-    if box is None:
-        region = [v for h in range(height_bound + 1) for v in compositions_of(h, rs.rank)]
-    else:
-        region = sorted((v for v in coordinate_box(rs.check_positive_coweight(box)) if height(v) <= height_bound),
-                        key=height)
+    region = height_region(rs.rank, height_bound, box)
     width = height(region[-1]) + 1
     series = {v: [0] * width for v in region}
     series[region[0]][0] = 1
@@ -206,8 +199,12 @@ class ColoredDivisor(Value):
     __slots__ = ("points",)
 
     def __init__(self, points: Sequence[tuple[str, Sequence[int]]]) -> None:
+        try:
+            pairs = [(label, theta) for label, theta in points]
+        except (TypeError, ValueError):  # not iterable (5 or None), or an item that is not a pair
+            raise ValueError(f"divisor points {points!r} are not a sequence of (label, coweight) pairs") from None
         normalized = []
-        for label, theta in points:
+        for label, theta in pairs:
             if type(label) is not str:  # it names the point, as a label names a RootSystemSpec
                 raise ValueError(f"divisor point label {label!r} must be a string")
             theta = check_coweight(theta, None, f"divisor part at {label!r}")
@@ -221,6 +218,8 @@ class ColoredDivisor(Value):
 
 def parse_divisor(text: str, rank: int) -> ColoredDivisor:
     """Parse `label:n1,n2;label2:m1,m2` into a ColoredDivisor; empty text is the empty divisor."""
+    if type(text) is not str:
+        raise ValueError(f"divisor text {text!r} is not a string")
     if type(rank) is not int or rank < 0:
         raise ValueError(f"rank {rank!r} must be an integer >= 0")
     points: list[tuple[str, Coweight]] = []

@@ -81,7 +81,7 @@ def validate_cartan_matrix(matrix: Sequence[Sequence[int]]) -> None:
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise ValueError(f"Cartan matrix row {i} is {row!r}, expected a list of {n} entries")
         for j, a in enumerate(row):
-            if not isinstance(a, int) or isinstance(a, bool):
+            if type(a) is not int:
                 raise ValueError(f"Cartan matrix entry ({i},{j}) = {a!r} is not an integer")
     for i in range(n):
         if matrix[i][i] != 2:
@@ -344,24 +344,25 @@ class ParabolicType(Value):
 # ---------------------------------------------------------------------------
 
 
-def compositions_of(total: int, parts: int) -> list[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative ints summing to `total`, lex ascending.  Stars and bars: each tuple is
-    the steps from 0 to total through its partial sums 0 <= s_1 <= ... <= s_(parts-1) <= total, listed in lex order."""
-    if parts == 0:
-        return [()] if total == 0 else []
-    return [tuple(map(sub, (*cuts, total), (0, *cuts)))
-            for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1)]
+def height_region(rank: int, bound: int, box: Sequence[int] | None = None) -> list[Coweight]:
+    """The positive coweights of height <= bound, only those in box (0 <= v <= box coordinatewise) when given,
+    sorted by (height, lex); a rank or bound that is not an int >= 0, or a box that is not a coweight of that
+    rank, is a ValueError.  Without a box each height is listed by stars and bars: a coweight of height h is the
+    steps from 0 to h through its partial sums 0 <= s_1 <= ... <= s_(rank-1) <= h, listed in lex order."""
+    for what, count in (("rank", rank), ("height bound", bound)):
+        if type(count) is not int or count < 0:
+            raise ValueError(f"{what} {count!r} must be an integer >= 0")
+    if box is None and rank:
+        return [tuple(map(sub, (*cuts, h), (0, *cuts)))
+                for h in range(bound + 1) for cuts in itertools.combinations_with_replacement(range(h + 1), rank - 1)]
+    # theta's box, or rank 0, whose one coweight () is the empty box: its lex order, stably sorted by height
+    box = () if box is None else check_coweight(box, rank, "box")
+    return sorted((v for v in coordinate_box(box) if height(v) <= bound), key=height)
 
 
 def coweights_up_to_height(rank: int, bound: int) -> list[Coweight]:
     """All positive coweights of height <= bound, sorted by (height, lex)."""
-    for what, count in (("rank", rank), ("height bound", bound)):
-        if type(count) is not int or count < 0:
-            raise ValueError(f"{what} {count!r} must be an integer >= 0")
-    out: list[Coweight] = []
-    for h in range(bound + 1):
-        out.extend(compositions_of(h, rank))
-    return out
+    return height_region(rank, bound)
 
 
 def coordinate_box(theta: Sequence[int]) -> Iterable[Coweight]:

@@ -26,7 +26,7 @@ from bisect import bisect_right
 from operator import add
 from typing import Sequence
 
-from .cartan import Coweight, RootSystem, RootSystemSpec, Value, build_root_system, coordinate_box, height, load_exact
+from .cartan import Coweight, RootSystem, RootSystemSpec, Value, build_root_system, height, height_region, load_exact
 
 
 class KostantPartition(Value):
@@ -106,7 +106,7 @@ def count_partitions(rs: RootSystem, theta: Sequence[int]) -> int:
     cached = _COUNT_CACHE.get(key)
     if cached is not None:
         return cached
-    value = count_region(rs, sorted(coordinate_box(theta), key=height))[theta]
+    value = count_region(rs, height_region(rs.rank, height(theta), theta))[theta]
     with _COUNT_CACHE_LOCK:
         _COUNT_CACHE[key] = value
     return value

@@ -268,13 +268,13 @@ class TestSeries:
             make()
 
     def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError, match="height bound must be >= 0"):
+        with pytest.raises(ValueError, match="^height bound -1 must be an integer >= 0$"):
             gk_product_series(root_system("A", 2), -1)
 
     @pytest.mark.parametrize("bound", [True, 2.0], ids=repr)
     def test_non_integer_bound_rejected(self, bound):
         # True was read as the bound 1 and 2.0 raised a TypeError from range
-        with pytest.raises(ValueError, match="height bound must be >= 0 and an integer"):
+        with pytest.raises(ValueError, match=f"^height bound {bound} must be an integer >= 0$"):
             gk_product_series(root_system("A", 2), bound)
 
     def test_bound_zero_product_is_unit(self):
@@ -564,6 +564,18 @@ class TestDivisors:
         # None and 5 were kept as the labels 'None' and '5'
         with pytest.raises(ValueError, match="must be a string"):
             ColoredDivisor(points=((label, (1,)),))
+
+    @pytest.mark.parametrize("text", [5, None, b"x:1"], ids=repr)
+    def test_non_string_text_rejected(self, text):
+        # 5 and None raised AttributeError from text.split
+        with pytest.raises(ValueError, match=r"^divisor text .* is not a string$"):
+            parse_divisor(text, 2)
+
+    @pytest.mark.parametrize("points", [5, None, (("x",),), (("x", (1,), "y"),)], ids=repr)
+    def test_points_not_pairs_rejected(self, points):
+        # 5 raised TypeError (not iterable) and a 1-tuple ValueError from unpacking, neither naming the input
+        with pytest.raises(ValueError, match=r"^divisor points .* are not a sequence of \(label, coweight\) pairs$"):
+            ColoredDivisor(points=points)
 
     def test_factorization_coherence(self):
         # any bipartition of the points multiplies

@@ -36,6 +36,7 @@ from bernasym.cartan import (
     build_root_system,
     coweights_up_to_height,
     height,
+    height_region,
     positive_roots_of,
     root_system,
     root_system_from_json,
@@ -154,6 +155,10 @@ class TestGeneration:
                 RootSystemSpec(**spec, label=label)
 
 
+class _Int(int):
+    pass
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "matrix",
@@ -168,6 +173,7 @@ class TestValidation:
             ((2, -1), (-1.0, 2)),  # integral float
             ((2, -1), (True, 2)),  # boolean
             (2, -1, -1, 2),  # rows are not lists
+            ((_Int(2), _Int(-1)), (_Int(-1), _Int(2))),  # int subclass, which was stored as it came
         ],
     )
     def test_bad_matrices_rejected(self, matrix):
@@ -729,6 +735,29 @@ class TestEnumeration:
         for bound in range(6):
             box = [v for v in itertools.product(range(bound + 1), repeat=rank) if sum(v) <= bound]
             assert coweights_up_to_height(rank, bound) == sorted(box, key=lambda v: (sum(v), v))
+
+    @pytest.mark.parametrize("rank", range(5))
+    def test_box_region_equals_the_filtered_box(self, rank):
+        for box in itertools.product(range(4), repeat=rank):
+            points = list(itertools.product(*(range(t + 1) for t in box)))
+            for bound in range(7):
+                expected = sorted((v for v in points if sum(v) <= bound), key=lambda v: (sum(v), v))
+                assert height_region(rank, bound, box) == expected, (box, bound)
+
+    def test_rank_zero_region(self):
+        for bound in range(3):
+            assert height_region(0, bound) == height_region(0, bound, ()) == [()]
+
+    @pytest.mark.parametrize("rank,bound,what", [(-1, 2, "rank -1"), (1.0, 2, "rank 1.0"), (True, 2, "rank True"),
+                                                 (2, -1, "height bound -1"), (2, 2.0, "height bound 2.0")])
+    def test_box_region_bad_rank_or_bound_rejected(self, rank, bound, what):
+        with pytest.raises(ValueError, match=f"^{what} must be an integer >= 0$"):
+            height_region(rank, bound, (1, 1))
+
+    @pytest.mark.parametrize("box", [(1,), (1, 1, 1), (1, -1), (1, 1.0), 5], ids=repr)
+    def test_box_not_a_coweight_of_the_rank_rejected(self, box):
+        with pytest.raises(ValueError, match=r"^box "):
+            height_region(2, 3, box)
 
     def test_large_rank_count(self):
         # C(66, 64) coweights of A64 up to height 2: 1, 64 and C(65, 2) of heights 0, 1, 2
