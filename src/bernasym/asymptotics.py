@@ -35,6 +35,7 @@ from .cartan import (
     Coweight,
     RootSystem,
     Value,
+    check_count,
     check_coweight,
     coweights_up_to_height,
     height,
@@ -220,8 +221,7 @@ def parse_divisor(text: str, rank: int) -> ColoredDivisor:
     """Parse `label:n1,n2;label2:m1,m2` into a ColoredDivisor; empty text is the empty divisor."""
     if type(text) is not str:
         raise ValueError(f"divisor text {text!r} is not a string")
-    if type(rank) is not int or rank < 0:
-        raise ValueError(f"rank {rank!r} must be an integer >= 0")
+    check_count(rank, "rank")
     points: list[tuple[str, Coweight]] = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -276,9 +276,9 @@ class VerificationError(Exception):
 class AsympTable(Value):
     """Table theta -> normalized trace over the height-bounded positive coweights.
 
-    The constructor checks the height and genus (ints >= 0), then draws every entry and checks its theta
-    (distinct, positive, of height <= the bound); ``entries`` is a read-only view.  The parabolic is the
-    Borel throughout; the omitted normalization factor is ``normalization_exponent`` in the metadata.
+    The constructor checks the height and genus (ints >= 0), then draws every entry and checks its theta (distinct,
+    positive, of height <= the bound) and its trace (a LaurentPoly); ``entries`` is a read-only view.  The parabolic
+    is the Borel throughout; the omitted normalization factor is ``normalization_exponent`` in the metadata.
     """
 
     __slots__ = ("root_system", "height_bound", "_entries", "genus")
@@ -296,6 +296,8 @@ class AsympTable(Value):
                 raise ValueError(f"table entry {theta} exceeds the height bound {height_bound}")
             if theta in checked:
                 raise ValueError(f"table entry {theta} appears twice")
+            if not isinstance(poly, LaurentPoly):
+                raise ValueError(f"table entry {theta} has trace {poly!r}, expected a LaurentPoly")
             checked[theta] = poly
         super().__init__(root_system, height_bound, checked, genus)
 

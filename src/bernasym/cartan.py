@@ -44,6 +44,12 @@ def height(vector: Sequence[int]) -> int:
     return sum(vector)
 
 
+def check_count(value: int, what: str) -> None:
+    """A ValueError naming what unless value's type is exactly int and value >= 0 (a rank or a bound)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} {value!r} must be an integer >= 0")
+
+
 def check_coweight(theta: Sequence[int], length: int | None, what: str) -> Coweight:
     """theta as a tuple of ``length`` (None: any number of) coordinates, each of type exactly int and >= 0;
     else a ValueError naming what."""
@@ -349,9 +355,8 @@ def height_region(rank: int, bound: int, box: Sequence[int] | None = None) -> li
     sorted by (height, lex); a rank or bound that is not an int >= 0, or a box that is not a coweight of that
     rank, is a ValueError.  Without a box each height is listed by stars and bars: a coweight of height h is the
     steps from 0 to h through its partial sums 0 <= s_1 <= ... <= s_(rank-1) <= h, listed in lex order."""
-    for what, count in (("rank", rank), ("height bound", bound)):
-        if type(count) is not int or count < 0:
-            raise ValueError(f"{what} {count!r} must be an integer >= 0")
+    check_count(rank, "rank")
+    check_count(bound, "height bound")
     if box is None and rank:
         return [tuple(map(sub, (*cuts, h), (0, *cuts)))
                 for h in range(bound + 1) for cuts in itertools.combinations_with_replacement(range(h + 1), rank - 1)]

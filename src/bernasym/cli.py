@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage/config error, 3 identity-verification failure.
+Exit codes: 0 success, 2 refused input (any ValueError: from the arguments, a config or
+Cartan file, a library check, or an --out path open() refuses), 3 identity-verification failure.
 Vertices are 0-based everywhere (``--levi "0,2"``).
 """
 
@@ -52,13 +53,9 @@ VERIFY_FLAGS = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def int_list(text: str) -> tuple[int, ...]:
@@ -108,11 +105,11 @@ def parse_key_values(text: str) -> dict[str, str]:
 
 def _config_flag(key: str, value: str) -> str:
     if key == "config":  # argparse would read it as --config, and argv's --config wins
-        raise UsageError(f"config field {key}={value}: a config file cannot name another config file")
+        raise ValueError(f"config field {key}={value}: a config file cannot name another config file")
     if key != "verify":
         return f"--{key}={value}"
     if value.lower() not in VERIFY_FLAGS:
-        raise UsageError(f"config field verify={value}: expected one of {', '.join(VERIFY_FLAGS)}")
+        raise ValueError(f"config field verify={value}: expected one of {', '.join(VERIFY_FLAGS)}")
     return VERIFY_FLAGS[value.lower()]
 
 
@@ -130,17 +127,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         with open(args.config, encoding="utf-8") as fh:
             fields = parse_key_values(fh.read())
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
+        raise ValueError(f"cannot read config file {args.config}: {exc}") from exc
     parser.set_defaults(label=fields.pop("label", None))
     return parser.parse_args([_config_flag(key, value) for key, value in fields.items()] + argv)
-
-
-def _checked(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, with a ValueError (rejected user input) turned into a usage error."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _root_system(args: argparse.Namespace) -> RootSystem:
@@ -150,11 +139,10 @@ def _root_system(args: argparse.Namespace) -> RootSystem:
             with open(args.cartan, encoding="utf-8") as fh:
                 matrix = json.load(fh)
         except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot read Cartan matrix file {args.cartan}: {exc}") from exc
+            raise ValueError(f"cannot read Cartan matrix file {args.cartan}: {exc}") from exc
         if matrix is None:
-            raise UsageError(f"Cartan matrix file {args.cartan} holds null, expected a list of rows")
-    spec = _checked(RootSystemSpec, series=args.series, rank=args.rank, cartan=matrix, label=args.label)
-    return build_root_system(spec)
+            raise ValueError(f"Cartan matrix file {args.cartan} holds null, expected a list of rows")
+    return build_root_system(RootSystemSpec(series=args.series, rank=args.rank, cartan=matrix, label=args.label))
 
 
 def _json_text(obj) -> str:
@@ -163,7 +151,7 @@ def _json_text(obj) -> str:
 
 def _height(args: argparse.Namespace, what: str) -> int:
     if args.height is None or args.height < 0:
-        raise UsageError(f"{what} needs --height N with N >= 0")
+        raise ValueError(f"{what} needs --height N with N >= 0")
     return args.height
 
 
@@ -171,7 +159,7 @@ def _height(args: argparse.Namespace, what: str) -> int:
 
 
 def _cmd_table(args: argparse.Namespace, rs: RootSystem) -> dict:
-    table = _checked(build_asymp_table, rs, _height(args, "table"), verify=args.verify, genus=args.genus)
+    table = build_asymp_table(rs, _height(args, "table"), verify=args.verify, genus=args.genus)
     return {
         "json": lambda: _json_text(table.to_json_obj()),
         "csv": table.to_csv_text,
@@ -181,8 +169,8 @@ def _cmd_table(args: argparse.Namespace, rs: RootSystem) -> dict:
 
 def _cmd_trace(args: argparse.Namespace, rs: RootSystem) -> dict:
     if args.theta is None:
-        raise UsageError("this command needs --theta")
-    theta = _checked(rs.check_positive_coweight, args.theta)
+        raise ValueError("this command needs --theta")
+    theta = rs.check_positive_coweight(args.theta)
     routes = {
         "kostant": lambda: trace_kostant_sum(rs, theta),
         "series": lambda: trace_from_series(gk_product_series(rs, sum(theta), box=theta), rs, theta),
@@ -200,21 +188,20 @@ def _cmd_trace(args: argparse.Namespace, rs: RootSystem) -> dict:
 
 def _cmd_divisor(args: argparse.Namespace, rs: RootSystem) -> dict:
     if args.divisor is None:
-        raise UsageError("divisor needs --divisor \"label:coords;...\"")
-    divisor = _checked(parse_divisor, args.divisor, rs.rank)
+        raise ValueError("divisor needs --divisor \"label:coords;...\"")
+    divisor = parse_divisor(args.divisor, rs.rank)
     poly = divisor_trace(rs, divisor)
-    points = [[label, list(theta)] for label, theta in divisor.points]
     return {
         "text": lambda: f"{poly}\n",
-        "json": lambda: _json_text({"divisor": points, "trace": poly.to_pairs()}),
+        "json": lambda: _json_text({"divisor": divisor.points, "trace": poly.to_pairs()}),  # pairs dump as lists
     }
 
 
 def _cmd_strata(args: argparse.Namespace, rs: RootSystem) -> dict:
     if args.kind is None:
-        raise UsageError("strata needs a kind: parabolic, local, or poset")
-    p = _checked(ParabolicType, args.levi or ())
-    _checked(p.validate, rs)
+        raise ValueError("strata needs a kind: parabolic, local, or poset")
+    p = ParabolicType(args.levi or ())
+    p.validate(rs)
 
     if args.kind == "parabolic":
         strata = enumerate_parabolic_strata(rs)
@@ -224,7 +211,7 @@ def _cmd_strata(args: argparse.Namespace, rs: RootSystem) -> dict:
         }
 
     if args.kind == "local":
-        strata = _checked(enumerate_local_strata, rs, p, args.theta or ())
+        strata = enumerate_local_strata(rs, p, args.theta or ())
         return {
             "json": lambda: _json_text(local_strata_to_json(strata)),
             "text": lambda: "".join(f"{s.parts[0]} + {s.parts[1]} + {s.parts[2]}\n" for s in strata),
@@ -255,24 +242,23 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
         if args.command != "strata" and args.kind is not None:
-            raise UsageError(f"{args.command} takes no positional kind argument")
+            raise ValueError(f"{args.command} takes no positional kind argument")
         if args.command != "strata" and args.levi:
-            raise UsageError("only strata commands accept --levi")
+            raise ValueError("only strata commands accept --levi")
         rs = _root_system(args)
         cache_dir = os.environ.get(CACHE_ENV_VAR)
         cache_file = os.path.join(cache_dir, CACHE_FILE_NAME) if cache_dir else None
         if cache_file:
             try:
                 os.makedirs(cache_dir, exist_ok=True)
-                if os.path.exists(cache_file):
-                    count_cache_load(cache_file)
+                count_cache_load(cache_file)
             except (OSError, ValueError):
-                pass  # an unusable cache directory or a stale cache must never break a run
+                pass  # a missing or stale cache, or an unusable cache directory, must never break a run
         renderers = commands[args.command](args, rs)
         fmt = args.fmt or next(iter(renderers))
         if fmt not in renderers:
             name = " ".join(filter(None, (args.command, args.kind)))
-            raise UsageError(f"{name} supports --format {'|'.join(renderers)}")
+            raise ValueError(f"{name} supports --format {'|'.join(renderers)}")
         text = renderers[fmt]()
         try:
             if args.out is None:
@@ -280,10 +266,10 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # open() refuses a path with a NUL byte by ValueError
             where = "to stdout" if args.out is None else f"output file {args.out}"
-            raise UsageError(f"cannot write {where}: {exc}") from exc
-    except UsageError as exc:
+            raise ValueError(f"cannot write {where}: {exc}") from exc
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except VerificationError as exc:

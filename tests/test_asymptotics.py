@@ -820,6 +820,12 @@ class TestTable:
         assert list(table.entries) == [(1, 0)]
         assert AsympTable(rs, 3, table.entries) == table
 
+    @pytest.mark.parametrize("value", [5, None, "x", 1.5], ids=repr)
+    def test_constructor_checks_every_trace(self, value):
+        # a trace that is not a LaurentPoly was kept, and to_json_obj failed on it with AttributeError
+        with pytest.raises(ValueError, match=r"^table entry \(1, 0\) has trace .* expected a LaurentPoly$"):
+            AsympTable(root_system("A", 2), 2, {(1, 0): value})
+
     def test_csv_mirror(self):
         table = build_asymp_table(root_system("A", 1), 2, verify=False)
         assert table.to_csv_text() == (

@@ -106,6 +106,12 @@ class TestTable:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "missing").exists()
 
+    def test_out_path_open_refuses_is_usage_error(self, capsys):
+        # open() refuses a NUL byte by ValueError, not OSError: it escaped main as a traceback
+        code, out, err = run(capsys, "--type", "A", "--rank", "1", "--height", "1", "--out", "a\0b", "table")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: cannot write output file a\0b: ")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_unwritable_stdout_is_usage_error(self, unbuffered):
@@ -610,6 +616,32 @@ class TestConfigAsFlags:
         code, out, err = run(capsys, "--config", cfg, "table")
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: unrecognized arguments: {unrecognized}\n"
+
+
+    def test_out_field_open_refuses_is_usage_error(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "type=A rank=1 height=1 out=a\0b\n")
+        code, out, err = run(capsys, "--config", cfg, "table")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ")
+
+
+class TestRefusedInput:
+    """Every ValueError out of a command, however deep, is a refused input: exit 2 and its message."""
+
+    @pytest.mark.parametrize("call,argv", [
+        ("build_asymp_table", "--type A --rank 1 --height 1 table"),
+        ("trace_kostant_sum", "--type A --rank 1 --theta 1 trace"),
+        ("divisor_trace", "--type A --rank 1 --divisor x:1 divisor"),
+        ("defect_poset", "--type A --rank 2 --height 1 strata poset"),
+    ], ids=lambda value: value.split()[-1] if " " in value else value)
+    def test_library_value_error_is_usage_error(self, capsys, monkeypatch, call, argv):
+        import bernasym.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, call, refuse)
+        assert run(capsys, *argv.split()) == (EXIT_USAGE, "", "error: boom\n")
 
 
 class TestCountCacheEnv:
