@@ -285,10 +285,9 @@ class AsympTable(Value):
 
     def __init__(self, root_system: RootSystem, height_bound: int,
                  entries: Mapping | Iterable[tuple[Sequence[int], LaurentPoly]] = (), genus: int | None = None):
-        if type(height_bound) is not int or not (genus is None or type(genus) is int):
-            raise ValueError(f"table height {height_bound!r} and genus {genus!r} must be integers")
-        if height_bound < 0 or (genus is not None and genus < 0):
-            raise ValueError(f"table height {height_bound} and genus {genus} must be >= 0")
+        check_count(height_bound, "table height")
+        if genus is not None:
+            check_count(genus, "genus")
         checked: dict[Coweight, LaurentPoly] = {}
         for theta, poly in entries.items() if isinstance(entries, Mapping) else entries:
             theta = root_system.check_positive_coweight(theta)

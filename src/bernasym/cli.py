@@ -52,6 +52,9 @@ VERIFY_FLAGS = {
     **dict.fromkeys(("0", "false", "no", "off"), "--no-verify"),
 }
 
+#: the flag that each command, or strata kind, cannot run without; the library checks its value
+REQUIRED_FLAGS = {"table": "height", "trace": "theta", "divisor": "divisor", "poset": "height"}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -127,7 +130,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         with open(args.config, encoding="utf-8") as fh:
             fields = parse_key_values(fh.read())
     except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read config file {args.config}: {exc}") from exc
+        raise ValueError(f"cannot read config file {args.config!r}: {exc}") from exc
     parser.set_defaults(label=fields.pop("label", None))
     return parser.parse_args([_config_flag(key, value) for key, value in fields.items()] + argv)
 
@@ -139,9 +142,9 @@ def _root_system(args: argparse.Namespace) -> RootSystem:
             with open(args.cartan, encoding="utf-8") as fh:
                 matrix = json.load(fh)
         except (OSError, ValueError) as exc:
-            raise ValueError(f"cannot read Cartan matrix file {args.cartan}: {exc}") from exc
+            raise ValueError(f"cannot read Cartan matrix file {args.cartan!r}: {exc}") from exc
         if matrix is None:
-            raise ValueError(f"Cartan matrix file {args.cartan} holds null, expected a list of rows")
+            raise ValueError(f"Cartan matrix file {args.cartan!r} holds null, expected a list of rows")
     return build_root_system(RootSystemSpec(series=args.series, rank=args.rank, cartan=matrix, label=args.label))
 
 
@@ -149,17 +152,11 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _height(args: argparse.Namespace, what: str) -> int:
-    if args.height is None or args.height < 0:
-        raise ValueError(f"{what} needs --height N with N >= 0")
-    return args.height
-
-
 # Each command returns its renderers, {format: () -> text}, default format first.
 
 
 def _cmd_table(args: argparse.Namespace, rs: RootSystem) -> dict:
-    table = build_asymp_table(rs, _height(args, "table"), verify=args.verify, genus=args.genus)
+    table = build_asymp_table(rs, args.height, verify=args.verify, genus=args.genus)
     return {
         "json": lambda: _json_text(table.to_json_obj()),
         "csv": table.to_csv_text,
@@ -168,8 +165,6 @@ def _cmd_table(args: argparse.Namespace, rs: RootSystem) -> dict:
 
 
 def _cmd_trace(args: argparse.Namespace, rs: RootSystem) -> dict:
-    if args.theta is None:
-        raise ValueError("this command needs --theta")
     theta = rs.check_positive_coweight(args.theta)
     routes = {
         "kostant": lambda: trace_kostant_sum(rs, theta),
@@ -187,8 +182,6 @@ def _cmd_trace(args: argparse.Namespace, rs: RootSystem) -> dict:
 
 
 def _cmd_divisor(args: argparse.Namespace, rs: RootSystem) -> dict:
-    if args.divisor is None:
-        raise ValueError("divisor needs --divisor \"label:coords;...\"")
     divisor = parse_divisor(args.divisor, rs.rank)
     poly = divisor_trace(rs, divisor)
     return {
@@ -217,7 +210,7 @@ def _cmd_strata(args: argparse.Namespace, rs: RootSystem) -> dict:
             "text": lambda: "".join(f"{s.parts[0]} + {s.parts[1]} + {s.parts[2]}\n" for s in strata),
         }
 
-    poset = defect_poset(rs, p, _height(args, "strata poset"))
+    poset = defect_poset(rs, p, args.height)
     return {"dot": poset.to_dot, "json": lambda: _json_text(defect_poset_to_json(poset))}
 
 
@@ -245,6 +238,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"{args.command} takes no positional kind argument")
         if args.command != "strata" and args.levi:
             raise ValueError("only strata commands accept --levi")
+        name = " ".join(filter(None, (args.command, args.kind)))
+        flag = REQUIRED_FLAGS.get(args.kind or args.command)
+        if flag and getattr(args, flag) is None:
+            raise ValueError(f"{name} needs --{flag}")
         rs = _root_system(args)
         cache_dir = os.environ.get(CACHE_ENV_VAR)
         cache_file = os.path.join(cache_dir, CACHE_FILE_NAME) if cache_dir else None
@@ -257,7 +254,6 @@ def main(argv: list[str] | None = None) -> int:
         renderers = commands[args.command](args, rs)
         fmt = args.fmt or next(iter(renderers))
         if fmt not in renderers:
-            name = " ".join(filter(None, (args.command, args.kind)))
             raise ValueError(f"{name} supports --format {'|'.join(renderers)}")
         text = renderers[fmt]()
         try:
@@ -267,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
                 with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(text)
         except (OSError, ValueError) as exc:  # open() refuses a path with a NUL byte by ValueError
-            where = "to stdout" if args.out is None else f"output file {args.out}"
+            where = "to stdout" if args.out is None else f"output file {args.out!r}"
             raise ValueError(f"cannot write {where}: {exc}") from exc
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

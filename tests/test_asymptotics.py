@@ -7,6 +7,7 @@ import csv
 import io
 import pickle
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -480,6 +481,17 @@ class TestOracleTriangle:
             c = trace_grothendieck_oracle(rs, theta)
             assert a == b == c, f"disagreement at {theta}"
 
+    def test_reducible_table_factors(self):
+        # block-diagonal B2 x G2: the coroots of one factor have zero coordinates on the other, so the product
+        # over the coroots splits and each trace is the product of the traces at the two halves of theta
+        b2, g2 = root_system("B", 2), root_system("G", 2)
+        cartan = [[*row, 0, 0] for row in b2.cartan] + [[0, 0, *row] for row in g2.cartan]
+        table = build_asymp_table(build_root_system(RootSystemSpec(cartan=cartan)), 8)
+        b2_traces, g2_traces = (build_asymp_table(rs, 8).entries for rs in (b2, g2))
+        assert len(table.entries) == 495
+        for theta, poly in table.entries.items():
+            assert poly == b2_traces[theta[:2]] * g2_traces[theta[2:]], theta
+
     @pytest.mark.parametrize("route", ["kostant", "series", "oracle"])
     @pytest.mark.parametrize("series,rank,bound", [("A", 3, 6), ("B", 3, 5), ("C", 3, 4), ("D", 4, 4), ("G", 2, 8)])
     def test_per_entry_identities(self, route, series, rank, bound):
@@ -728,7 +740,8 @@ class TestTable:
             obj["height"] = value
         else:
             obj["metadata"]["genus"] = value
-        with pytest.raises(ValueError, match="must be integers"):
+        what = "table height" if field == "height" else "genus"
+        with pytest.raises(ValueError, match=f"^{what} {re.escape(repr(value))} must be an integer >= 0$"):
             asymp_table_from_json(obj)
 
     @pytest.mark.parametrize("height_bound, genus", [(True, None), (1, False), (2.0, None), (1, 2.0), (1, "1")],
@@ -738,11 +751,12 @@ class TestTable:
         import bernasym.asymptotics as mod
 
         monkeypatch.setattr(mod, "coweights_up_to_height", lambda *args: pytest.fail("the table listed its thetas"))
-        with pytest.raises(ValueError, match="must be integers"):
+        what, value = ("genus", genus) if type(height_bound) is int else ("table height", height_bound)
+        with pytest.raises(ValueError, match=f"^{what} {re.escape(repr(value))} must be an integer >= 0$"):
             build_asymp_table(root_system("A", 2), height_bound, genus=genus)
 
     def test_negative_genus_rejected(self):
-        with pytest.raises(ValueError, match="genus -4 must be >= 0"):
+        with pytest.raises(ValueError, match="^genus -4 must be an integer >= 0$"):
             build_asymp_table(root_system("A", 1), 1, genus=-4)
 
     @pytest.mark.parametrize("field, value", [("height", -1), ("genus", -5)], ids=["height", "genus"])
@@ -753,7 +767,8 @@ class TestTable:
             obj["height"] = value
         else:
             obj["metadata"]["genus"] = value
-        with pytest.raises(ValueError, match="must be >= 0"):
+        what = "table height" if field == "height" else "genus"
+        with pytest.raises(ValueError, match=f"^{what} {value} must be an integer >= 0$"):
             asymp_table_from_json(obj)
 
     def test_metadata(self):

@@ -102,15 +102,28 @@ class TestTable:
         )
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.startswith(f"error: cannot write output file {target}: ")
+        assert err.startswith(f"error: cannot write output file {str(target)!r}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("flag, message", [("--out", "cannot write output file"),
+                                               ("--config", "cannot read config file"),
+                                               ("--cartan", "cannot read Cartan matrix file")],
+                             ids=["out", "config", "cartan"])
+    def test_path_is_quoted_on_stderr(self, capsys, tmp_path, flag, message):
+        # quoted, a newline in the path cannot split the one-line error in two
+        path = tmp_path / "a\nb" / "t.json"
+        system = ("--type", "A", "--rank", "1") if flag != "--cartan" else ()
+        code, out, err = run(capsys, *system, "--height", "1", flag, str(path), "table")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: {message} {str(path)!r}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_out_path_open_refuses_is_usage_error(self, capsys):
         # open() refuses a NUL byte by ValueError, not OSError: it escaped main as a traceback
         code, out, err = run(capsys, "--type", "A", "--rank", "1", "--height", "1", "--out", "a\0b", "table")
         assert (code, out) == (EXIT_USAGE, "")
-        assert err.startswith("error: cannot write output file a\0b: ")
+        assert err.startswith("error: cannot write output file 'a\\x00b': ")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
@@ -145,12 +158,17 @@ class TestTable:
         code, out, err = run(capsys, "--type", "A", "--rank", "1", "--height", "1", "--genus", "-3", "table")
         assert code == EXIT_USAGE
         assert out == ""
-        assert err == "error: table height 1 and genus -3 must be >= 0\n"
+        assert err == "error: genus -3 must be an integer >= 0\n"
 
     def test_missing_height_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "--type", "A", "--rank", "1", "table")
-        assert code == EXIT_USAGE
-        assert "height" in err
+        code, out, err = run(capsys, "--type", "A", "--rank", "1", "table")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: table needs --height\n"
+
+    def test_negative_height_is_refused_by_the_library_rule(self, capsys):
+        code, out, err = run(capsys, "--type", "A", "--rank", "1", "--height", "-1", "table")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: table height -1 must be an integer >= 0\n"
 
     def test_dot_format_rejected(self, capsys):
         code, _, _ = run(
@@ -267,8 +285,9 @@ class TestTrace:
         assert code == EXIT_USAGE
 
     def test_missing_theta_usage_error(self, capsys):
-        code, _, _ = run(capsys, "--type", "A", "--rank", "2", "trace")
-        assert code == EXIT_USAGE
+        code, out, err = run(capsys, "--type", "A", "--rank", "2", "trace")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: trace needs --theta\n"
 
 
 class TestStrata:
@@ -313,6 +332,14 @@ class TestStrata:
         )
         assert code == EXIT_OK
         assert out == "I_M=[] c_P=(0,)\nI_M=[0] c_P=(1,)\n"
+
+    @pytest.mark.parametrize("height, message", [(None, "strata poset needs --height"),
+                                                 ("-1", "height bound -1 must be an integer >= 0")],
+                             ids=["missing", "negative"])
+    def test_poset_height_usage_error(self, capsys, height, message):
+        flags = () if height is None else ("--height", height)
+        code, out, err = run(capsys, "--type", "A", "--rank", "2", *flags, "strata", "poset")
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
     def test_missing_kind_usage_error(self, capsys):
         code, _, _ = run(capsys, "--type", "A", "--rank", "1", "strata")
@@ -460,7 +487,7 @@ class TestConfigAndSpec:
         matrix.write_text("null")
         code, out, err = run(capsys, "--type", "A", "--rank", "2", "--cartan", str(matrix), "--height", "1", "table")
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == f"error: Cartan matrix file {matrix} holds null, expected a list of rows\n"
+        assert err == f"error: Cartan matrix file {str(matrix)!r} holds null, expected a list of rows\n"
 
     def test_type_and_cartan_together_rejected(self, capsys, tmp_path):
         matrix = tmp_path / "cartan.json"

@@ -26,7 +26,13 @@ from fractions import Fraction
 import pytest
 from closed_forms import exponents
 
-from bernasym.asymptotics import gk_product_series, trace_from_series, trace_grothendieck_oracle, trace_kostant_sum
+from bernasym.asymptotics import (
+    build_asymp_table,
+    gk_product_series,
+    trace_from_series,
+    trace_grothendieck_oracle,
+    trace_kostant_sum,
+)
 from bernasym.cartan import coordinate_box, height, root_system
 from bernasym.kostant import count_partitions
 from bernasym.qlaurent import LaurentPoly
@@ -136,6 +142,50 @@ def test_q_added_at_one_simple_coroot_is_caught(series, rank):
         return trace_kostant_sum(rs, theta) + (LaurentPoly.q_power(1) if theta == simple else 0)
 
     assert q_analogue(rs, corrupted) != exponent_sum(series, rank)
+
+
+# -- The top coefficient, from Weyl's denominator formula ------------------------------------------
+#
+# trace(theta) = q^ht(theta) c_theta, and the t^0 part of c_theta = [e^theta] prod_beta (1 - e^beta) / (1 - t e^beta)
+# is [e^theta] prod_beta (1 - e^beta).  For the dual group Weyl's denominator formula (Humphreys, Introduction to
+# Lie Algebras and Representation Theory, 24.3) writes that product as sum over w in W of sign(w) e^d(w), with
+# d(w) = rho - w rho = -(w . 0).  So no exponent of trace(theta) exceeds ht theta, and the coefficient of
+# q^ht(theta) is sign(w) if theta = d(w), else 0.
+
+
+def denominator_terms(cartan, bound):
+    """{d(w): sign(w)} over the w with ht d(w) <= bound, by a walk up from d(1) = 0.
+
+    As in dot_orbit, d(s_i w) = d(w) + (1 - <d(w), alpha_i>) alpha_i^vee, and the step raises the height
+    exactly when s_i w is longer than w.  The walk takes only those steps, so its depth is the length of w,
+    and it reaches every d(w) of height <= bound through the d of shorter elements, whose heights are lower.
+    """
+    signs = {(0,) * len(cartan): 1}
+    frontier = list(signs)
+    while frontier:
+        following = []
+        for d in frontier:
+            for i in range(len(d)):
+                step = 1 - sum(x * row[i] for x, row in zip(d, cartan))
+                e = d[:i] + (d[i] + step,) + d[i + 1:]
+                if step > 0 and sum(e) <= bound and e not in signs:
+                    signs[e] = -signs[d]
+                    following.append(e)
+        frontier = following
+    return signs
+
+
+@pytest.mark.parametrize("series,rank,bound,size", [("A", 3, 9, 23), ("B", 3, 9, 20), ("C", 3, 9, 20),
+                                                    ("G", 2, 16, 12), ("D", 4, 8, 47), ("F", 4, 8, 39),
+                                                    ("E", 6, 6, 114), ("A", 5, 7, 87)])
+def test_top_coefficient_is_the_weyl_denominator(series, rank, bound, size):
+    rs = root_system(series, rank)
+    signs = denominator_terms(rs.cartan, bound)
+    assert len(signs) == size
+    for theta, poly in build_asymp_table(rs, bound).entries.items():
+        top = sum(theta)
+        assert all(e <= top for e, _ in poly.to_pairs()), theta
+        assert poly.coefficient(top) == signs.get(theta, 0), theta
 
 
 # -- Kostka-Foulkes polynomials of GL_n ------------------------------------------------------------
