@@ -8,6 +8,7 @@ Vertices are 0-based everywhere (``--levi "0,2"``).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -204,6 +205,8 @@ def _cmd_strata(args: argparse.Namespace, rs: RootSystem) -> dict:
         }
 
     if args.kind == "local":
+        if args.theta is None and rs.rank > len(p.levi_vertices):  # () is theta when every vertex is in the Levi
+            raise ValueError("strata local needs --theta")
         strata = enumerate_local_strata(rs, p, args.theta or ())
         return {
             "json": lambda: _json_text(local_strata_to_json(strata)),
@@ -280,5 +283,14 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def run() -> None:
+    """Process entry (``python -m bernasym.cli``, the ``bernasym`` script): ``main()``, then exit.
+
+    Freezing the heap first lets the exit-time collections skip it; ``main`` has flushed its output."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shlex
@@ -18,6 +19,7 @@ from bernasym.kostant import count_cache_clear, count_partitions
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def readme_command_lines():
@@ -129,8 +131,7 @@ class TestTable:
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_unwritable_stdout_is_usage_error(self, unbuffered):
         # buffered, the small table fails only on flush; unbuffered, on write
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
         argv = [sys.executable, "-m", "bernasym.cli", "--type", "A", "--rank", "2", "--height", "1", "table"]
         with open("/dev/full", "w") as full:
             result = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
@@ -349,6 +350,18 @@ class TestStrata:
         for levi in ("7", "-1"):
             code, out, err = run(capsys, "--type", "A", "--rank", "2", f"--levi={levi}", "strata", "parabolic")
             assert (code, out) == (EXIT_USAGE, "") and err.startswith("error: "), levi
+
+    @pytest.mark.parametrize("levi", [(), ("--levi", "0")], ids=["borel", "quotient-rank-1"])
+    def test_local_without_theta_names_the_flag(self, capsys, levi):
+        code, out, err = run(capsys, "--type", "A", "--rank", str(len(levi) + 1), *levi, "strata", "local")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: strata local needs --theta\n")
+
+    def test_local_without_theta_is_empty_when_every_vertex_is_in_the_levi(self, capsys):
+        # the quotient has rank 0, so () is its one coweight and --theta may be left out
+        code, out, err = run(capsys, "--type", "A", "--rank", "2", "--levi", "0,1", "strata", "local")
+        assert (code, err) == (EXIT_OK, "")
+        expected = [{"levi_vertices": [0, 1], "total": [], "parts": [[], [], []], "defect": []}]
+        assert out == json.dumps(expected, indent=2) + "\n"
 
     def test_local_needs_quotient_arity(self, capsys):
         code, _, _ = run(
@@ -737,12 +750,11 @@ class TestReadme:
 class TestStartup:
     def test_import_loads_no_heavy_stdlib_modules(self):
         # a fresh interpreter, so modules that earlier tests imported do not hide a new import
-        src = Path(__file__).resolve().parent.parent / "src"
         code = (
             "import sys; before = set(sys.modules); import bernasym.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))"
         )
-        env = {**os.environ, "PYTHONPATH": str(src)}
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
         # -S: without site, no .pth hook loads a module before bernasym and hides a new import of it
         result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
                                 check=True)
@@ -750,3 +762,74 @@ class TestStartup:
         assert "bernasym.cli" in added
         assert added.isdisjoint({"dataclasses", "fractions", "decimal", "inspect", "csv", "pathlib", "tempfile",
                                  "random"})
+
+
+def run_process_entry(argv, patch="pass", after="pass"):
+    """``cli.run()`` in a fresh interpreter with ``sys.argv = ["bernasym", *argv]``: the CompletedProcess.
+
+    ``patch`` runs before ``run()``; ``after`` runs once it has raised SystemExit, with the exception as ``exc``.
+    """
+    code = (
+        "import gc, sys\n"
+        "from bernasym import cli\n"
+        "from bernasym.qlaurent import LaurentPoly\n"
+        f"{patch}\n"
+        "sys.argv[0] = 'bernasym'\n"
+        "try:\n"
+        "    cli.run()\n"
+        "except SystemExit as exc:\n"
+        f"    {after}\n"
+        "    raise\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "BERNASYM_CACHE_DIR"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=60)
+
+
+class TestProcessEntry:
+    """``cli.run()`` is ``main()`` plus a heap freeze before exit; ``main`` itself never freezes."""
+
+    def test_run_freezes_the_heap_and_exits_with_mains_code(self):
+        report = "sys.stderr.write(f'exit={exc.code} frozen={gc.get_freeze_count()}\\n')"
+        result = run_process_entry(["--type", "A", "--rank", "2", "--height", "3", "table"],
+                                   patch="assert gc.get_freeze_count() == 0", after=report)
+        assert result.returncode == EXIT_OK
+        assert json.loads(result.stdout)["entries"]
+        exit_code, frozen = result.stderr.decode().split()
+        assert exit_code == f"exit={EXIT_OK}"
+        assert int(frozen.removeprefix("frozen=")) > 0
+
+    @pytest.mark.parametrize("argv, oracle_patched, expected", [
+        ("--type A --rank 2 --height 3 table", False, EXIT_OK),
+        ("--type A --rank 1 table", False, EXIT_USAGE),
+        ("--type A --rank 1 --height 1 table", True, EXIT_VERIFY),
+    ], ids=["table", "refusal", "verification-failure"])
+    def test_main_leaves_the_freeze_count_unchanged(self, capsys, monkeypatch, argv, oracle_patched, expected):
+        import bernasym.asymptotics as mod
+        from bernasym.qlaurent import LaurentPoly
+
+        if oracle_patched:
+            monkeypatch.setattr(mod, "trace_grothendieck_oracle", lambda rs, theta: LaurentPoly({9: 9}))
+        before = gc.get_freeze_count()
+        assert run(capsys, *argv.split())[0] == expected
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, oracle_patched, expected", [
+        ("--type B --rank 2 --height 4 table", False, EXIT_OK),
+        ("--type B --rank 2 --theta 1,2 --method all trace", False, EXIT_OK),
+        ("--type A --rank 1 table", False, EXIT_USAGE),
+        ("--type A --rank 1 --theta 2 --method all trace", True, EXIT_VERIFY),
+    ], ids=["verified-table", "trace-all", "refusal", "route-disagreement"])
+    def test_run_prints_the_bytes_of_main(self, capsys, monkeypatch, argv, oracle_patched, expected):
+        import bernasym.cli as cli
+        from bernasym.qlaurent import LaurentPoly
+
+        monkeypatch.delenv("BERNASYM_CACHE_DIR", raising=False)
+        if oracle_patched:
+            monkeypatch.setattr(cli, "trace_grothendieck_oracle", lambda rs, theta: LaurentPoly({9: 9}))
+        code, out, err = run(capsys, *argv.split())
+        assert code == expected
+        assert out or err
+        patch = "cli.trace_grothendieck_oracle = lambda rs, theta: LaurentPoly({9: 9})" if oracle_patched else "pass"
+        result = run_process_entry(argv.split(), patch=patch)
+        assert (result.returncode, result.stdout, result.stderr) == (code, out.encode(), err.encode())
