@@ -53,8 +53,10 @@ VERIFY_FLAGS = {
     **dict.fromkeys(("0", "false", "no", "off"), "--no-verify"),
 }
 
-#: the flag that each command, or strata kind, cannot run without; the library checks its value
-REQUIRED_FLAGS = {"table": "height", "trace": "theta", "divisor": "divisor", "poset": "height"}
+#: the flags each command, or strata kind, reads besides --type, --rank, --cartan, --config, --format and --out;
+#: the first is required (strata local's --theta unless every vertex is in the Levi); the library checks values
+COMMAND_FLAGS = {"table": ("height", "verify", "genus"), "trace": ("theta", "method"), "divisor": ("divisor",),
+                 "parabolic": (), "local": ("theta", "levi"), "poset": ("height", "levi")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,10 +79,10 @@ def build_parser() -> _Parser:
     parser.add_argument("--theta", type=int_list, help='coweight coordinates "n1,n2,..." (0-based vertices)')
     parser.add_argument("--levi", type=int_list, help='Levi vertices "i,j,..." (strata commands only)')
     parser.add_argument("--divisor", help='colored divisor "x:1,0;y:2,1"')
-    parser.add_argument("--method", choices=["kostant", "series", "oracle", "all"], default="kostant")
+    parser.add_argument("--method", choices=["kostant", "series", "oracle", "all"])
     parser.add_argument("--format", dest="fmt", choices=["json", "csv", "text", "dot"], default=None)
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--verify", action=argparse.BooleanOptionalAction, default=True)
+    parser.add_argument("--verify", action=argparse.BooleanOptionalAction)
     parser.add_argument("--genus", type=int, default=None, help="curve genus for normalization metadata")
     parser.add_argument("command", choices=["table", "trace", "strata", "divisor"])
     parser.add_argument("kind", nargs="?", choices=["parabolic", "local", "poset"],
@@ -157,7 +159,7 @@ def _json_text(obj) -> str:
 
 
 def _cmd_table(args: argparse.Namespace, rs: RootSystem) -> dict:
-    table = build_asymp_table(rs, args.height, verify=args.verify, genus=args.genus)
+    table = build_asymp_table(rs, args.height, verify=args.verify is not False, genus=args.genus)
     return {
         "json": lambda: _json_text(table.to_json_obj()),
         "csv": table.to_csv_text,
@@ -172,13 +174,14 @@ def _cmd_trace(args: argparse.Namespace, rs: RootSystem) -> dict:
         "series": lambda: trace_from_series(gk_product_series(rs, sum(theta), box=theta), rs, theta),
         "oracle": lambda: trace_grothendieck_oracle(rs, theta),
     }
-    values = {name: route() for name, route in routes.items() if args.method in (name, "all")}
-    if args.method == "all":
+    method = args.method or "kostant"
+    values = {name: route() for name, route in routes.items() if method in (name, "all")}
+    if method == "all":
         VerificationError.check(theta, **values)
     traces = {name: poly.to_pairs() for name, poly in values.items()}
     return {
         "text": lambda: "".join(f"{poly}\n" for poly in values.values()),
-        "json": lambda: _json_text({"theta": list(theta), "method": args.method, "traces": traces}),
+        "json": lambda: _json_text({"theta": list(theta), "method": method, "traces": traces}),
     }
 
 
@@ -192,10 +195,7 @@ def _cmd_divisor(args: argparse.Namespace, rs: RootSystem) -> dict:
 
 
 def _cmd_strata(args: argparse.Namespace, rs: RootSystem) -> dict:
-    if args.kind is None:
-        raise ValueError("strata needs a kind: parabolic, local, or poset")
     p = ParabolicType(args.levi or ())
-    p.validate(rs)
 
     if args.kind == "parabolic":
         strata = enumerate_parabolic_strata(rs)
@@ -237,14 +237,16 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"table": _cmd_table, "trace": _cmd_trace, "divisor": _cmd_divisor, "strata": _cmd_strata}
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
-        if args.command != "strata" and args.kind is not None:
-            raise ValueError(f"{args.command} takes no positional kind argument")
-        if args.command != "strata" and args.levi:
-            raise ValueError("only strata commands accept --levi")
+        if (args.kind is None) == (args.command == "strata"):
+            raise ValueError(f"{args.command} takes no positional kind argument" if args.kind
+                             else "strata needs a kind: parabolic, local, or poset")
         name = " ".join(filter(None, (args.command, args.kind)))
-        flag = REQUIRED_FLAGS.get(args.kind or args.command)
-        if flag and getattr(args, flag) is None:
-            raise ValueError(f"{name} needs --{flag}")
+        flags = COMMAND_FLAGS[args.kind or args.command]
+        for flag in dict.fromkeys(sum(COMMAND_FLAGS.values(), ())):
+            if getattr(args, flag) is not None and flag not in flags:
+                raise ValueError(f"{name} does not read --{flag}")
+        if flags and args.kind != "local" and getattr(args, flags[0]) is None:
+            raise ValueError(f"{name} needs --{flags[0]}")
         rs = _root_system(args)
         cache_dir = os.environ.get(CACHE_ENV_VAR)
         cache_file = os.path.join(cache_dir, CACHE_FILE_NAME) if cache_dir else None

@@ -530,7 +530,7 @@ class TestConfigAndSpec:
             capsys, "--type", "A", "--rank", "2", "--height", "1", "--levi", "0", "table"
         )
         assert code == EXIT_USAGE
-        assert "strata" in err
+        assert err == "error: table does not read --levi\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -682,6 +682,40 @@ class TestRefusedInput:
 
         monkeypatch.setattr(cli, call, refuse)
         assert run(capsys, *argv.split()) == (EXIT_USAGE, "", "error: boom\n")
+
+
+#: each command's arguments with its required flag, and the flags it does not read (--levi outside strata
+#: is in test_levi_rejected_outside_strata)
+UNREAD_FLAGS = {
+    "table": ("--height 1 table", ("--theta 1", "--method all", "--divisor x:1")),
+    "trace": ("--theta 1 trace", ("--height 2", "--no-verify", "--verify", "--genus 3", "--divisor x:1")),
+    "divisor": ("--divisor x:1 divisor", ("--height 2", "--no-verify", "--genus 3", "--theta 1", "--method all")),
+    "strata parabolic": ("strata parabolic", ("--height 2", "--no-verify", "--genus 3", "--theta 1",
+                                              "--method all", "--divisor x:1", "--levi 0")),
+    "strata local": ("--theta 1 strata local", ("--height 2", "--no-verify", "--genus 3", "--method all",
+                                                "--divisor x:1")),
+    "strata poset": ("--height 1 strata poset", ("--no-verify", "--genus 3", "--theta 1", "--method all",
+                                                 "--divisor x:1")),
+}
+
+
+class TestUnreadFlags:
+    """A flag its command does not read is refused before the root system is built, not dropped."""
+
+    @pytest.mark.parametrize("name, flag", [(name, flag) for name, (_, flags) in UNREAD_FLAGS.items()
+                                            for flag in flags])
+    def test_unread_flag_is_usage_error(self, capsys, monkeypatch, name, flag):
+        import bernasym.cli as cli
+
+        monkeypatch.setattr(cli, "build_root_system", None)  # building the root system would raise TypeError
+        argv = ("--type", "A", "--rank", "1", *flag.split(), *UNREAD_FLAGS[name][0].split())
+        read_as = flag.split()[0].replace("--no-", "--")
+        assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {name} does not read {read_as}\n")
+
+    def test_config_field_is_a_flag_like_any_other(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("type=A rank=1 height=1 method=all\n")
+        assert run(capsys, "--config", str(cfg), "table") == (EXIT_USAGE, "", "error: table does not read --method\n")
 
 
 class TestCountCacheEnv:

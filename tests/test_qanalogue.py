@@ -188,6 +188,47 @@ def test_top_coefficient_is_the_weyl_denominator(series, rank, bound, size):
         assert poly.coefficient(top) == signs.get(theta, 0), theta
 
 
+# -- The whole trace, from Weyl's denominator formula ----------------------------------------------
+#
+# With P_t(gamma) = sum of t^|K| over the Kostant partitions K of gamma, the coefficient of e^gamma in
+# prod_beta 1 / (1 - t e^beta), the same formula gives c_theta = sum over w with d(w) <= theta of
+# sign(w) P_t(theta - d(w)), so trace(theta) = q^ht(theta) times that sum, with t = q^-1.
+
+
+def t_partition_sizes(coroots, region):
+    """{gamma: {|K|: number of Kostant partitions K of gamma}} over a downward-closed region.
+
+    One pass per coroot beta multiplies by 1 / (1 - t e^beta): in increasing height, every gamma takes
+    t times the value at gamma - beta, which already counts the partitions with copies of beta.
+    """
+    sizes = {gamma: {} for gamma in region}
+    sizes[(0,) * len(coroots[0])] = {0: 1}
+    ordered = sorted(region, key=sum)
+    for beta in coroots:
+        for gamma in ordered:
+            below = sizes.get(tuple(g - b for g, b in zip(gamma, beta)))
+            if below:
+                counts = sizes[gamma]
+                for size, count in below.items():
+                    counts[size + 1] = counts.get(size + 1, 0) + count
+    return sizes
+
+
+@pytest.mark.parametrize("series,rank,bound", [("A", 3, 9), ("B", 3, 9), ("G", 2, 16), ("D", 4, 8),
+                                               ("F", 4, 8), ("E", 6, 6), ("A", 5, 7)])
+def test_every_entry_is_weyls_denominator_sum(series, rank, bound):
+    rs = root_system(series, rank)
+    table = build_asymp_table(rs, bound, verify=False)
+    signs = denominator_terms(rs.cartan, bound)
+    sizes = t_partition_sizes(rs.positive_coroots, table.entries)
+    for theta, poly in table.entries.items():
+        top, expected = sum(theta), {}
+        for d, sign in signs.items():
+            for size, count in sizes.get(tuple(x - y for x, y in zip(theta, d)), {}).items():
+                expected[top - size] = expected.get(top - size, 0) + sign * count
+        assert poly.to_pairs() == [[e, c] for e, c in sorted(expected.items()) if c], theta
+
+
 # -- Kostka-Foulkes polynomials of GL_n ------------------------------------------------------------
 #
 # For dominant lambda, mu with lambda - mu in the root lattice, the same alternating sum gives
