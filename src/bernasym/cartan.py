@@ -339,10 +339,12 @@ class ParabolicType(Value):
     def __init__(self, levi_vertices: Sequence[int] = ()) -> None:
         super().__init__(tuple(sorted(set(check_coweight(levi_vertices, None, "Levi vertex list")))))
 
-    def validate(self, rs: RootSystem) -> None:
+    def quotient_rank(self, rs: RootSystem) -> int:
+        """``rs.rank`` less the Levi vertices, each checked to be a vertex of ``rs``."""
         for v in self.levi_vertices:
             if v >= rs.rank:
                 raise ValueError(f"Levi vertex {v} is out of range for rank {rs.rank}")
+        return rs.rank - len(self.levi_vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,6 @@ VERIFY_FLAGS = {
     **dict.fromkeys(("0", "false", "no", "off"), "--no-verify"),
 }
 
-#: the flags each command, or strata kind, reads besides --type, --rank, --cartan, --config, --format and --out;
-#: the first is required (strata local's --theta unless every vertex is in the Levi); the library checks values
-COMMAND_FLAGS = {"table": ("height", "verify", "genus"), "trace": ("theta", "method"), "divisor": ("divisor",),
-                 "parabolic": (), "local": ("theta", "levi"), "poset": ("height", "levi")}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise ValueError(message)
@@ -75,17 +69,17 @@ def build_parser() -> _Parser:
     parser.add_argument("--rank", type=int, help="rank of the series")
     parser.add_argument("--cartan", metavar="FILE", help="JSON file with a Cartan matrix as a list of rows")
     parser.add_argument("--config", metavar="FILE", help="flat key=value config file")
-    parser.add_argument("--height", type=int, help="height bound for tables, series, posets")
-    parser.add_argument("--theta", type=int_list, help='coweight coordinates "n1,n2,..." (0-based vertices)')
-    parser.add_argument("--levi", type=int_list, help='Levi vertices "i,j,..." (strata commands only)')
-    parser.add_argument("--divisor", help='colored divisor "x:1,0;y:2,1"')
-    parser.add_argument("--method", choices=["kostant", "series", "oracle", "all"])
-    parser.add_argument("--format", dest="fmt", choices=["json", "csv", "text", "dot"], default=None)
+    parser.add_argument("--height", type=int, help="height bound (table, strata poset)")
+    parser.add_argument("--theta", type=int_list, help='coweight "n1,n2,...", vertex 0 first (trace, strata local)')
+    parser.add_argument("--levi", type=int_list, help='Levi vertices "i,j,..." (strata local, strata poset)')
+    parser.add_argument("--divisor", help='colored divisor "x:1,0;y:2,1" (divisor)')
+    parser.add_argument("--method", choices=["kostant", "series", "oracle", "all"], help="default kostant (trace)")
+    parser.add_argument("--format", dest="fmt", choices=dict.fromkeys(f for *_, out in COMMANDS.values() for f in out))
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--verify", action=argparse.BooleanOptionalAction)
-    parser.add_argument("--genus", type=int, default=None, help="curve genus for normalization metadata")
-    parser.add_argument("command", choices=["table", "trace", "strata", "divisor"])
-    parser.add_argument("kind", nargs="?", choices=["parabolic", "local", "poset"],
+    parser.add_argument("--verify", action=argparse.BooleanOptionalAction, help="on unless --no-verify (table)")
+    parser.add_argument("--genus", type=int, help="curve genus for normalization metadata (table)")
+    parser.add_argument("command", choices=dict.fromkeys(name.partition(" ")[0] for name in COMMANDS))
+    parser.add_argument("kind", nargs="?", choices=[name.partition(" ")[2] for name in COMMANDS if " " in name],
                         help="strata flavor (strata command only)")
     parser.set_defaults(label=None)
     return parser
@@ -155,19 +149,11 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-# Each command returns its renderers, {format: () -> text}, default format first.
+def _table(args: argparse.Namespace, rs: RootSystem):
+    return build_asymp_table(rs, args.height, verify=args.verify is not False, genus=args.genus)
 
 
-def _cmd_table(args: argparse.Namespace, rs: RootSystem) -> dict:
-    table = build_asymp_table(rs, args.height, verify=args.verify is not False, genus=args.genus)
-    return {
-        "json": lambda: _json_text(table.to_json_obj()),
-        "csv": table.to_csv_text,
-        "text": table.to_text,
-    }
-
-
-def _cmd_trace(args: argparse.Namespace, rs: RootSystem) -> dict:
+def _trace(args: argparse.Namespace, rs: RootSystem) -> dict:
     theta = rs.check_positive_coweight(args.theta)
     routes = {
         "kostant": lambda: trace_kostant_sum(rs, theta),
@@ -178,43 +164,56 @@ def _cmd_trace(args: argparse.Namespace, rs: RootSystem) -> dict:
     values = {name: route() for name, route in routes.items() if method in (name, "all")}
     if method == "all":
         VerificationError.check(theta, **values)
-    traces = {name: poly.to_pairs() for name, poly in values.items()}
-    return {
-        "text": lambda: "".join(f"{poly}\n" for poly in values.values()),
-        "json": lambda: _json_text({"theta": list(theta), "method": method, "traces": traces}),
-    }
+    return {"theta": list(theta), "method": method, "traces": values}
 
 
-def _cmd_divisor(args: argparse.Namespace, rs: RootSystem) -> dict:
+def _divisor(args: argparse.Namespace, rs: RootSystem) -> dict:
     divisor = parse_divisor(args.divisor, rs.rank)
-    poly = divisor_trace(rs, divisor)
-    return {
-        "text": lambda: f"{poly}\n",
-        "json": lambda: _json_text({"divisor": divisor.points, "trace": poly.to_pairs()}),  # pairs dump as lists
-    }
+    return {"divisor": divisor.points, "trace": divisor_trace(rs, divisor)}
 
 
-def _cmd_strata(args: argparse.Namespace, rs: RootSystem) -> dict:
+def _parabolic(args: argparse.Namespace, rs: RootSystem) -> list:
+    return enumerate_parabolic_strata(rs)
+
+
+def _local(args: argparse.Namespace, rs: RootSystem) -> list:
     p = ParabolicType(args.levi or ())
+    if args.theta is None and p.quotient_rank(rs):  # () is theta when every vertex is in the Levi
+        raise ValueError("strata local needs --theta")
+    return enumerate_local_strata(rs, p, args.theta or ())
 
-    if args.kind == "parabolic":
-        strata = enumerate_parabolic_strata(rs)
-        return {
-            "json": lambda: _json_text(parabolic_strata_to_json(strata)),
-            "text": lambda: "".join(f"I_M={list(s.levi_vertices)} c_P={s.canonical_point}\n" for s in strata),
-        }
 
-    if args.kind == "local":
-        if args.theta is None and rs.rank > len(p.levi_vertices):  # () is theta when every vertex is in the Levi
-            raise ValueError("strata local needs --theta")
-        strata = enumerate_local_strata(rs, p, args.theta or ())
-        return {
-            "json": lambda: _json_text(local_strata_to_json(strata)),
-            "text": lambda: "".join(f"{s.parts[0]} + {s.parts[1]} + {s.parts[2]}\n" for s in strata),
-        }
+def _poset(args: argparse.Namespace, rs: RootSystem):
+    return defect_poset(rs, ParabolicType(args.levi or ()), args.height)
 
-    poset = defect_poset(rs, p, args.height)
-    return {"dot": poset.to_dot, "json": lambda: _json_text(defect_poset_to_json(poset))}
+
+#: each command, or strata kind: (the function computing its result, the flags it reads besides --type, --rank,
+#: --cartan, --config, --format and --out, the first required (strata local's --theta unless every vertex is in the
+#: Levi), its renderers {format: result -> text}, the default first). Names are looked up at call time, so a
+#: replaced ``cli`` global or method (as the traced benchmark pass makes) is the one that runs.
+COMMANDS = {
+    "table": (_table, ("height", "verify", "genus"), {"json": lambda table: _json_text(table.to_json_obj()),
+                                                      "csv": lambda table: table.to_csv_text(),
+                                                      "text": lambda table: table.to_text()}),
+    "trace": (_trace, ("theta", "method"), {
+        "text": lambda result: "".join(f"{poly}\n" for poly in result["traces"].values()),
+        "json": lambda result: _json_text({**result, "traces": {k: v.to_pairs() for k, v in result["traces"].items()}}),
+    }),
+    "strata parabolic": (_parabolic, (), {
+        "json": lambda strata: _json_text(parabolic_strata_to_json(strata)),
+        "text": lambda strata: "".join(f"I_M={list(s.levi_vertices)} c_P={s.canonical_point}\n" for s in strata),
+    }),
+    "strata local": (_local, ("theta", "levi"), {
+        "json": lambda strata: _json_text(local_strata_to_json(strata)),
+        "text": lambda strata: "".join(f"{s.parts[0]} + {s.parts[1]} + {s.parts[2]}\n" for s in strata),
+    }),
+    "strata poset": (_poset, ("height", "levi"), {"dot": lambda poset: poset.to_dot(),
+                                                  "json": lambda poset: _json_text(defect_poset_to_json(poset))}),
+    "divisor": (_divisor, ("divisor",), {
+        "text": lambda result: f"{result['trace']}\n",
+        "json": lambda result: _json_text({**result, "trace": result["trace"].to_pairs()}),  # pairs dump as lists
+    }),
+}
 
 
 def _write_stdout(text: str) -> None:
@@ -234,19 +233,21 @@ def _write_stdout(text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    commands = {"table": _cmd_table, "trace": _cmd_trace, "divisor": _cmd_divisor, "strata": _cmd_strata}
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
-        if (args.kind is None) == (args.command == "strata"):
+        name = " ".join(filter(None, (args.command, args.kind)))
+        if name not in COMMANDS:
             raise ValueError(f"{args.command} takes no positional kind argument" if args.kind
                              else "strata needs a kind: parabolic, local, or poset")
-        name = " ".join(filter(None, (args.command, args.kind)))
-        flags = COMMAND_FLAGS[args.kind or args.command]
-        for flag in dict.fromkeys(sum(COMMAND_FLAGS.values(), ())):
+        compute, flags, renderers = COMMANDS[name]
+        for flag in dict.fromkeys(f for _, read, _ in COMMANDS.values() for f in read):
             if getattr(args, flag) is not None and flag not in flags:
                 raise ValueError(f"{name} does not read --{flag}")
-        if flags and args.kind != "local" and getattr(args, flags[0]) is None:
+        if flags and name != "strata local" and getattr(args, flags[0]) is None:
             raise ValueError(f"{name} needs --{flags[0]}")
+        fmt = args.fmt or next(iter(renderers))
+        if fmt not in renderers:
+            raise ValueError(f"{name} supports --format {'|'.join(renderers)}")
         rs = _root_system(args)
         cache_dir = os.environ.get(CACHE_ENV_VAR)
         cache_file = os.path.join(cache_dir, CACHE_FILE_NAME) if cache_dir else None
@@ -256,11 +257,7 @@ def main(argv: list[str] | None = None) -> int:
                 count_cache_load(cache_file)
             except (OSError, ValueError):
                 pass  # a missing or stale cache, or an unusable cache directory, must never break a run
-        renderers = commands[args.command](args, rs)
-        fmt = args.fmt or next(iter(renderers))
-        if fmt not in renderers:
-            raise ValueError(f"{name} supports --format {'|'.join(renderers)}")
-        text = renderers[fmt]()
+        text = renderers[fmt](compute(args, rs))
         try:
             if args.out is None:
                 _write_stdout(text)

@@ -62,8 +62,7 @@ def enumerate_local_strata(
     Deterministic order: lexicographic in (first part, middle part).  The
     count is the per-coordinate stars-and-bars product prod C(n_i + 2, 2).
     """
-    p.validate(rs)
-    theta = check_coweight(theta, rs.rank - len(p.levi_vertices), "quotient coweight")
+    theta = check_coweight(theta, p.quotient_rank(rs), "quotient coweight")
     out: list[DefectStratumIndex] = []
     for part1 in coordinate_box(theta):
         rest = tuple(t - a for t, a in zip(theta, part1))
@@ -95,8 +94,7 @@ class DefectPoset(Value):
 
 def defect_poset(rs: RootSystem, p: ParabolicType, bound: int) -> DefectPoset:
     """The height-bounded box with its covering relations (+1 on one coordinate)."""
-    p.validate(rs)
-    quotient_rank = rs.rank - len(p.levi_vertices)
+    quotient_rank = p.quotient_rank(rs)
     elements = tuple(coweights_up_to_height(quotient_rank, bound))
     covers: list[tuple[Coweight, Coweight]] = []
     for v in elements:

@@ -707,7 +707,7 @@ class TestQuotient:
 
     @pytest.mark.parametrize("vertices", [(-1,), (0, -2)], ids=["alone", "with-another"])
     def test_negative_levi_vertex_rejected(self, vertices):
-        # refused at construction; a negative vertex used to pass until validate() saw the rank
+        # refused at construction; a negative vertex used to pass until the rank check saw it
         with pytest.raises(ValueError, match=r"Levi vertex list \(.*\) is not positive"):
             ParabolicType(vertices)
 
@@ -720,6 +720,14 @@ class TestQuotient:
         rs = root_system("A", 2)
         with pytest.raises(ValueError, match="Levi vertex 5 is out of range for rank 2"):
             enumerate_local_strata(rs, ParabolicType((5,)), (0,))
+
+    @pytest.mark.parametrize("vertices, rank", [((), 2), ((1,), 1), ((0, 1), 0)], ids=repr)
+    def test_quotient_rank(self, vertices, rank):
+        assert ParabolicType(vertices).quotient_rank(root_system("A", 2)) == rank
+
+    def test_quotient_rank_checks_every_vertex(self):
+        with pytest.raises(ValueError, match="Levi vertex 2 is out of range for rank 2"):
+            ParabolicType((0, 2)).quotient_rank(root_system("A", 2))
 
 
 class TestEnumeration:

@@ -171,11 +171,12 @@ class TestTable:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: table height -1 must be an integer >= 0\n"
 
-    def test_dot_format_rejected(self, capsys):
-        code, _, _ = run(
-            capsys, "--type", "A", "--rank", "1", "--height", "1", "--format", "dot", "table"
-        )
-        assert code == EXIT_USAGE
+    def test_dot_format_rejected(self, capsys, monkeypatch):
+        import bernasym.cli as cli
+
+        monkeypatch.setattr(cli, "build_asymp_table", None)  # refused before the table is computed
+        code, out, err = run(capsys, "--type", "E", "--rank", "6", "--height", "7", "--format", "dot", "table")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: table supports --format json|csv|text\n")
 
     def test_verification_failure_exit_code(self, capsys, monkeypatch):
         import bernasym.asymptotics as mod
@@ -699,8 +700,13 @@ UNREAD_FLAGS = {
 }
 
 
+#: the formats each command prints, the default first
+FORMATS = {"table": "json|csv|text", "trace": "text|json", "divisor": "text|json", "strata parabolic": "json|text",
+           "strata local": "json|text", "strata poset": "dot|json"}
+
+
 class TestUnreadFlags:
-    """A flag its command does not read is refused before the root system is built, not dropped."""
+    """A flag its command does not read, or a format it does not print, is refused before any work."""
 
     @pytest.mark.parametrize("name, flag", [(name, flag) for name, (_, flags) in UNREAD_FLAGS.items()
                                             for flag in flags])
@@ -711,6 +717,33 @@ class TestUnreadFlags:
         argv = ("--type", "A", "--rank", "1", *flag.split(), *UNREAD_FLAGS[name][0].split())
         read_as = flag.split()[0].replace("--no-", "--")
         assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {name} does not read {read_as}\n")
+
+    @pytest.mark.parametrize("name, fmt", [(name, fmt) for name, formats in FORMATS.items()
+                                           for fmt in ("json", "csv", "text", "dot") if fmt not in formats])
+    def test_unsupported_format_is_usage_error(self, capsys, monkeypatch, name, fmt):
+        import bernasym.cli as cli
+
+        monkeypatch.setattr(cli, "build_root_system", None)  # building the root system would raise TypeError
+        argv = ("--type", "A", "--rank", "1", "--format", fmt, *UNREAD_FLAGS[name][0].split())
+        assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {name} supports --format {FORMATS[name]}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        ("--theta 1 --format dot table", "table does not read --theta"),  # an unread flag first,
+        ("--format dot table", "table needs --height"),  # then a missing required flag,
+        ("--height -1 --format dot table", "table supports --format json|csv|text"),  # then --format,
+        ("--levi 7 strata local", "Levi vertex 7 is out of range for rank 2"),  # then the library's checks
+        ("--levi 0 --format csv strata local", "strata local supports --format json|text"),
+    ], ids=["unread-flag", "missing-flag", "format", "library", "format-before-theta"])
+    def test_first_refusal_is_named(self, capsys, argv, message):
+        assert run(capsys, "--type", "A", "--rank", "2", *argv.split()) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_help_names_the_commands_that_read_each_flag(self):
+        import bernasym.cli as cli
+
+        for action in cli.build_parser()._actions:
+            readers = [name for name, (_, flags, _) in cli.COMMANDS.items() if action.dest in flags]
+            named = action.help.rpartition(" (")[2].rstrip(")").split(", ") if action.help else []
+            assert named == readers if readers else not set(named) & set(cli.COMMANDS), action.dest
 
     def test_config_field_is_a_flag_like_any_other(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
