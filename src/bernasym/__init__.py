@@ -7,86 +7,30 @@ routes that must agree; Kostant partition enumeration and counting; and the
 index combinatorics of the underlying stratifications.
 """
 
-from .asymptotics import (
-    AsympTable,
-    ColoredDivisor,
-    VerificationError,
-    asymp_table_from_json,
-    build_asymp_table,
-    divisor_trace,
-    gk_product_series,
-    parse_divisor,
-    trace_from_series,
-    trace_grothendieck_oracle,
-    trace_kostant_sum,
-)
-from .cartan import (
-    CartanMatrix,
-    Coweight,
-    ParabolicType,
-    RootSystem,
-    RootSystemSpec,
-    build_root_system,
-    coweights_up_to_height,
-    height,
-    root_system,
-    root_system_from_json,
-    root_system_to_json,
-)
-from .kostant import (
-    KostantPartition,
-    count_partitions,
-    enumerate_partitions,
-    partition_from_json,
-    partition_to_json,
-)
-from .qlaurent import GrothendieckClass, LaurentPoly
-from .strata import (
-    DefectPoset,
-    DefectStratumIndex,
-    ParabolicStratum,
-    defect_poset,
-    enumerate_local_strata,
-    enumerate_parabolic_strata,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsympTable",
-    "CartanMatrix",
-    "ColoredDivisor",
-    "Coweight",
-    "DefectPoset",
-    "DefectStratumIndex",
-    "GrothendieckClass",
-    "KostantPartition",
-    "LaurentPoly",
-    "ParabolicStratum",
-    "ParabolicType",
-    "RootSystem",
-    "RootSystemSpec",
-    "VerificationError",
-    "asymp_table_from_json",
-    "build_asymp_table",
-    "build_root_system",
-    "count_partitions",
-    "coweights_up_to_height",
-    "defect_poset",
-    "divisor_trace",
-    "enumerate_local_strata",
-    "enumerate_parabolic_strata",
-    "enumerate_partitions",
-    "gk_product_series",
-    "height",
-    "parse_divisor",
-    "partition_from_json",
-    "partition_to_json",
-    "root_system",
-    "root_system_from_json",
-    "root_system_to_json",
-    "trace_from_series",
-    "trace_grothendieck_oracle",
-    "trace_kostant_sum",
-    "__version__",
-]
+#: each public name under its defining module, which is imported the first time one of its names is read
+_PUBLIC_NAMES = {
+    "asymptotics": ("AsympTable", "ColoredDivisor", "VerificationError", "asymp_table_from_json", "build_asymp_table",
+                    "divisor_trace", "gk_product_series", "parse_divisor", "trace_from_series",
+                    "trace_grothendieck_oracle", "trace_kostant_sum"),
+    "cartan": ("CartanMatrix", "Coweight", "ParabolicType", "RootSystem", "RootSystemSpec", "build_root_system",
+               "coweights_up_to_height", "height", "root_system", "root_system_from_json", "root_system_to_json"),
+    "kostant": ("KostantPartition", "count_partitions", "enumerate_partitions", "partition_from_json",
+                "partition_to_json"),
+    "qlaurent": ("GrothendieckClass", "LaurentPoly"),
+    "strata": ("DefectPoset", "DefectStratumIndex", "ParabolicStratum", "defect_poset", "enumerate_local_strata",
+               "enumerate_parabolic_strata"),
+}
+
+__all__ = [*(name for names in _PUBLIC_NAMES.values() for name in names), "__version__"]
+
+
+def __getattr__(name: str):
+    """Import the module defining a public ``name``, and bind the name here so that this runs once per name."""
+    module = next((module for module, names in _PUBLIC_NAMES.items() if name in names), None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(import_module(f".{module}", __name__), name))

@@ -73,14 +73,13 @@ def build_parser() -> _Parser:
     parser.add_argument("--theta", type=int_list, help='coweight "n1,n2,...", vertex 0 first (trace, strata local)')
     parser.add_argument("--levi", type=int_list, help='Levi vertices "i,j,..." (strata local, strata poset)')
     parser.add_argument("--divisor", help='colored divisor "x:1,0;y:2,1" (divisor)')
-    parser.add_argument("--method", choices=["kostant", "series", "oracle", "all"], help="default kostant (trace)")
+    parser.add_argument("--method", choices=[*TRACE_ROUTES, "all"], help="default kostant (trace)")
     parser.add_argument("--format", dest="fmt", choices=dict.fromkeys(f for *_, out in COMMANDS.values() for f in out))
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--verify", action=argparse.BooleanOptionalAction, help="on unless --no-verify (table)")
     parser.add_argument("--genus", type=int, help="curve genus for normalization metadata (table)")
     parser.add_argument("command", choices=dict.fromkeys(name.partition(" ")[0] for name in COMMANDS))
-    parser.add_argument("kind", nargs="?", choices=[name.partition(" ")[2] for name in COMMANDS if " " in name],
-                        help="strata flavor (strata command only)")
+    parser.add_argument("kind", nargs="?", choices=STRATA_KINDS, help="strata flavor (strata command only)")
     parser.set_defaults(label=None)
     return parser
 
@@ -153,15 +152,18 @@ def _table(args: argparse.Namespace, rs: RootSystem):
     return build_asymp_table(rs, args.height, verify=args.verify is not False, genus=args.genus)
 
 
+#: trace's ``--method`` routes ``(rs, theta) -> trace``, reading their functions as ``cli`` globals at call time
+TRACE_ROUTES = {
+    "kostant": lambda rs, theta: trace_kostant_sum(rs, theta),
+    "series": lambda rs, theta: trace_from_series(gk_product_series(rs, sum(theta), box=theta), rs, theta),
+    "oracle": lambda rs, theta: trace_grothendieck_oracle(rs, theta),
+}
+
+
 def _trace(args: argparse.Namespace, rs: RootSystem) -> dict:
     theta = rs.check_positive_coweight(args.theta)
-    routes = {
-        "kostant": lambda: trace_kostant_sum(rs, theta),
-        "series": lambda: trace_from_series(gk_product_series(rs, sum(theta), box=theta), rs, theta),
-        "oracle": lambda: trace_grothendieck_oracle(rs, theta),
-    }
     method = args.method or "kostant"
-    values = {name: route() for name, route in routes.items() if method in (name, "all")}
+    values = {name: route(rs, theta) for name, route in TRACE_ROUTES.items() if method in (name, "all")}
     if method == "all":
         VerificationError.check(theta, **values)
     return {"theta": list(theta), "method": method, "traces": values}
@@ -214,6 +216,8 @@ COMMANDS = {
         "json": lambda result: _json_text({**result, "trace": result["trace"].to_pairs()}),  # pairs dump as lists
     }),
 }
+#: the strata command's kinds, in table order
+STRATA_KINDS = [name.partition(" ")[2] for name in COMMANDS if " " in name]
 
 
 def _write_stdout(text: str) -> None:
@@ -238,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         name = " ".join(filter(None, (args.command, args.kind)))
         if name not in COMMANDS:
             raise ValueError(f"{args.command} takes no positional kind argument" if args.kind
-                             else "strata needs a kind: parabolic, local, or poset")
+                             else f"strata needs a kind: {', '.join(STRATA_KINDS[:-1])}, or {STRATA_KINDS[-1]}")
         compute, flags, renderers = COMMANDS[name]
         for flag in dict.fromkeys(f for _, read, _ in COMMANDS.values() for f in read):
             if getattr(args, flag) is not None and flag not in flags:

@@ -291,6 +291,11 @@ class TestTrace:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: trace needs --theta\n"
 
+    def test_unknown_method_usage_error(self, capsys):
+        assert run(capsys, "--type", "A", "--rank", "1", "--theta", "1", "--method", "bogus", "trace") == (
+            EXIT_USAGE, "",
+            "error: argument --method: invalid choice: 'bogus' (choose from 'kostant', 'series', 'oracle', 'all')\n")
+
 
 class TestStrata:
     def test_parabolic_two_rows(self, capsys):
@@ -344,8 +349,8 @@ class TestStrata:
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
     def test_missing_kind_usage_error(self, capsys):
-        code, _, _ = run(capsys, "--type", "A", "--rank", "1", "strata")
-        assert code == EXIT_USAGE
+        assert run(capsys, "--type", "A", "--rank", "1", "strata") == (
+            EXIT_USAGE, "", "error: strata needs a kind: parabolic, local, or poset\n")
 
     def test_bad_levi_usage_error(self, capsys):
         for levi in ("7", "-1"):
@@ -814,21 +819,36 @@ class TestReadme:
             assert out == line.partition(" #")[2].strip() + "\n" == "1 - 2q + q^2\n"  # the comment's promise
 
 
+def modules_added_by(statement: str) -> set[str]:
+    """The modules that ``statement`` adds to ``sys.modules`` in a fresh interpreter.
+
+    Fresh, so that modules earlier tests imported do not hide a new import; ``-S``, so that no ``.pth`` hook of
+    site loads a module first and hides it either.
+    """
+    code = f"import sys; before = set(sys.modules); {statement}; print(' '.join(sorted(set(sys.modules) - before)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(result.stdout.split())
+
+
+LIBRARY_MODULES = {f"bernasym.{name}" for name in ("asymptotics", "cartan", "kostant", "qlaurent", "strata")}
+
+
 class TestStartup:
     def test_import_loads_no_heavy_stdlib_modules(self):
-        # a fresh interpreter, so modules that earlier tests imported do not hide a new import
-        code = (
-            "import sys; before = set(sys.modules); import bernasym.cli; "
-            "print(' '.join(sorted(set(sys.modules) - before)))"
-        )
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        # -S: without site, no .pth hook loads a module before bernasym and hides a new import of it
-        result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
-                                check=True)
-        added = set(result.stdout.split())
+        added = modules_added_by("import bernasym.cli")
         assert "bernasym.cli" in added
         assert added.isdisjoint({"dataclasses", "fractions", "decimal", "inspect", "csv", "pathlib", "tempfile",
                                  "random"})
+
+    @pytest.mark.parametrize("statement, loaded", [
+        ("import bernasym", set()),  # a submodule is imported when one of its public names is first read
+        ("import bernasym.strata", {"bernasym.cartan", "bernasym.strata"}),
+        # the cli imports every library module at its top, where the traced benchmark pass reads them
+        ("import bernasym.cli", {"bernasym.cli", *LIBRARY_MODULES}),
+    ], ids=["package", "strata", "cli"])
+    def test_import_footprint(self, statement, loaded):
+        assert {name for name in modules_added_by(statement) if name.startswith("bernasym")} == {"bernasym", *loaded}
 
 
 def run_process_entry(argv, patch="pass", after="pass"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+LIBRARY_MODULES = ("asymptotics", "cartan", "kostant", "qlaurent", "strata")
 
 
 def test_demos_found():
@@ -37,6 +39,15 @@ def test_star_import_binds_every_public_name():
     exec("from bernasym import *", namespace)
     assert set(bernasym.__all__) <= set(namespace)
     assert not {"MonoidSeries", "geometric_factor"} & set(namespace)
+    # the package binds a name when it is first read: to the very object the library modules hold under it
+    modules = [importlib.import_module(f"bernasym.{name}") for name in LIBRARY_MODULES]
+    for name in set(bernasym.__all__) - {"__version__"}:
+        held = [vars(module)[name] for module in modules if name in vars(module)]
+        assert held and all(getattr(bernasym, name) is value for value in held), name
+    # and any other name stays an AttributeError, so hasattr is false for it (test_readme_public_names_exist)
+    with pytest.raises(AttributeError, match="NoSuchName"):
+        bernasym.NoSuchName  # noqa: B018
+    assert not hasattr(bernasym, "NoSuchName")
 
 
 def readme_public_name_list() -> str:
