@@ -34,3 +34,8 @@ def __getattr__(name: str):
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return globals().setdefault(name, getattr(import_module(f".{module}", __name__), name))
+
+
+def __dir__() -> list[str]:
+    """The names bound here and every public name, bound or not yet."""
+    return sorted({*globals(), *__all__})

@@ -1,7 +1,7 @@
 """Root-system engine for finite Cartan data.
 
-Builds the positive coroots of any finite-type Cartan matrix (named series
-A-G or an explicit matrix), computes heights and the rho-pairing, checks
+Builds the positive coroots of a Cartan matrix (named series A-G or an
+explicit matrix), refusing one not of finite type, computes heights, checks
 every integer vector the library is handed (``check_coweight``), and holds
 the one rule every JSON loader follows (``load_exact``).
 
@@ -72,13 +72,12 @@ def check_coweight(theta: Sequence[int], length: int | None, what: str) -> Cowei
 
 
 def validate_cartan_matrix(matrix: Sequence[Sequence[int]]) -> None:
-    """Reject anything that is not a finite-type generalized Cartan matrix.
+    """Reject anything that is not a generalized Cartan matrix.
 
     Checks, in order: a nonempty list of rows, squareness and integrality,
-    2s on the diagonal, non-positive off-diagonal entries, the zero-symmetry
-    a_ij = 0 <=> a_ji = 0, symmetrizability, and positive definiteness of the
-    symmetrized matrix (the exact finite-type criterion, evaluated in integer
-    arithmetic).
+    2s on the diagonal, non-positive off-diagonal entries and the zero-symmetry
+    a_ij = 0 <=> a_ji = 0.  Finite type is decided where the roots are
+    generated: ``positive_roots_of`` refuses the rest as "not of finite type".
     """
     if not isinstance(matrix, (list, tuple)) or not matrix:
         raise ValueError(f"Cartan matrix is {matrix!r}, expected a nonempty list of rows")
@@ -97,50 +96,6 @@ def validate_cartan_matrix(matrix: Sequence[Sequence[int]]) -> None:
                 raise ValueError(f"Cartan matrix off-diagonal entry ({i},{j}) = {matrix[i][j]} is positive")
             if (matrix[i][j] == 0) != (matrix[j][i] == 0):
                 raise ValueError(f"Cartan matrix entries ({i},{j}) and ({j},{i}) violate zero symmetry")
-
-    _check_symmetrizable(matrix)
-    if not _leading_minors_positive(matrix):
-        raise ValueError("Cartan matrix is not of finite type (symmetrization is not positive definite)")
-
-
-def _check_symmetrizable(matrix: Sequence[Sequence[int]]) -> None:
-    """Raise a ValueError unless positive d_i with d_i a_ij = d_j a_ji exist; d_i is kept as (num, den)."""
-    n = len(matrix)
-    d: dict[int, tuple[int, int]] = {}
-    for start in range(n):
-        if start in d:
-            continue
-        d[start] = (1, 1)
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if i != j and matrix[i][j]:
-                    num, den = -d[i][0] * matrix[i][j], -d[i][1] * matrix[j][i]  # d_i a_ij / a_ji > 0
-                    if j not in d:
-                        d[j] = (num, den)
-                        queue.append(j)
-                    elif d[j][0] * den != num * d[j][1]:
-                        raise ValueError("Cartan matrix is not symmetrizable")
-
-
-def _leading_minors_positive(matrix: Sequence[Sequence[int]]) -> bool:
-    """Every leading principal minor A_k is positive (Bareiss fraction-free elimination).
-
-    With a positive symmetrizer D, det((DA)_k) = d_1...d_k det(A_k): this is Sylvester's criterion for DA.
-    """
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    prev = 1
-    for k in range(n):
-        pivot = m[k][k]  # the leading principal minor of order k + 1
-        if pivot <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -289,30 +244,38 @@ class RootSystem(Value):
 
 
 def positive_roots_of(matrix: CartanMatrix) -> list[tuple[int, ...]]:
-    """All positive roots of a validated finite-type Cartan matrix.
+    """All positive roots of a generalized Cartan matrix of finite type; a ValueError "not of finite type" else.
 
-    Reflection closure: start from the simple roots and repeatedly apply the
-    simple reflections, keeping every image with nonnegative coordinates.
-    Finite type guarantees a fixpoint.
+    Reflection closure: from the simple roots, apply the simple reflections and keep every image with nonnegative
+    coordinates.  The closure is the set of positive real roots, finite exactly when the matrix is of finite type
+    (Kac, *Infinite-dimensional Lie algebras*, Prop. 4.9), and then at most 2n^2 at rank n, since a component of
+    rank k has at most 2k^2 (k^2 for B_k and C_k, 120 for E8): a closure past 2n^2 roots is refused.
     """
     n = len(matrix)
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in matrix]  # at most four nonzero entries each
+    limit = 2 * n * n
+    columns = [[(k, row[i]) for k, row in enumerate(matrix) if row[i]] for i in range(n)]
     simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    roots: set[tuple[int, ...]] = set(simple)
-    frontier = list(simple)
+    # each root's pairings with the simple coroots, row k of the matrix times the root; a simple root's is a column
+    pairings = {alpha: tuple(row[i] for row in matrix) for i, alpha in enumerate(simple)}
+    frontier = simple
     while frontier:
         new: list[tuple[int, ...]] = []
         for beta in frontier:
-            for i, row in enumerate(rows):
-                pairing = sum(a * beta[j] for j, a in row)
-                # the reflection changes only coordinate i; a zero pairing fixes beta
+            beta_pairings = pairings[beta]
+            for i, pairing in enumerate(beta_pairings):
+                # the reflection changes only coordinate i, by the pairing; a zero pairing fixes beta
                 if pairing and beta[i] >= pairing:
                     image = beta[:i] + (beta[i] - pairing,) + beta[i + 1:]
-                    if image not in roots:
-                        roots.add(image)
+                    if image not in pairings:
+                        image_pairings = list(beta_pairings)
+                        for k, a in columns[i]:
+                            image_pairings[k] -= pairing * a
+                        pairings[image] = tuple(image_pairings)
                         new.append(image)
+            if len(pairings) > limit:
+                raise ValueError(f"Cartan matrix is not of finite type (more than 2n^2 = {limit} positive roots)")
         frontier = new
-    return sorted(roots, key=lambda b: (height(b), b))
+    return sorted(pairings, key=lambda b: (height(b), b))
 
 
 def build_root_system(spec: RootSystemSpec) -> RootSystem:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import io
+import operator
 import pickle
 import random
 import re
@@ -531,6 +533,63 @@ class TestOracleTriangle:
             exponents = [e for e, _ in poly.to_pairs()]
             assert exponents[-1] <= rho
             assert exponents[0] >= rho - max_size
+
+
+def support_components(cartan, theta) -> list[list[int]]:
+    """The connected components of supp theta in the Dynkin diagram: vertices i != j are linked if a_ij != 0."""
+    left = {i for i, t in enumerate(theta) if t}
+    components = []
+    while left:
+        stack, component = [left.pop()], []
+        while stack:
+            i = stack.pop()
+            component.append(i)
+            linked = {j for j in left if cartan[i][j]}
+            left -= linked
+            stack.extend(linked)
+        components.append(component)
+    return components
+
+
+def factorization_failures(cartan, entries) -> tuple[list, int]:
+    """The thetas whose trace is not the product of the traces of theta_c, theta on each component c of its
+    support and 0 elsewhere, and how many thetas have a disconnected support (where the identity says something).
+
+    Every positive coroot has connected support, so each coroot <= theta lies in one component: the Kostant
+    partitions of theta are products of those of the theta_c, whose |R_K|, |K| and heights add.  Only the
+    Cartan matrix and the table are read; each theta_c has a smaller height, so it is in the table too.
+    """
+    failures, split = [], 0
+    for theta, trace in entries.items():
+        components = support_components(cartan, theta)
+        if len(components) < 2:
+            continue
+        split += 1
+        factors = []
+        for component in components:
+            theta_c = [0] * len(theta)
+            for i in component:
+                theta_c[i] = theta[i]
+            factors.append(entries[tuple(theta_c)])
+        if functools.reduce(operator.mul, factors) != trace:
+            failures.append(theta)
+    return failures, split
+
+
+class TestSupportFactorization:
+    """trace(theta) = prod_c trace(theta_c) over the components of supp theta, at ranks up to 40."""
+
+    @pytest.mark.parametrize("series,rank,bound", [("B", 30, 3), ("D", 40, 3), ("E", 8, 8), ("A", 20, 4)])
+    def test_trace_factors_over_the_support(self, series, rank, bound):
+        rs = root_system(series, rank)
+        failures, split = factorization_failures(rs.cartan, build_asymp_table(rs, bound, verify=False).entries)
+        assert failures == [] and split > 0
+
+    def test_support_components(self):
+        d4 = root_system("D", 4).cartan  # vertex 1 forks into 2 and 3
+        assert sorted(support_components(d4, (1, 0, 1, 1))) == [[0], [2], [3]]
+        assert sorted(map(sorted, support_components(d4, (1, 1, 0, 1)))) == [[0, 1, 3]]
+        assert support_components(d4, (0, 0, 0, 0)) == []
 
 
 class TestDivisors:

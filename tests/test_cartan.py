@@ -12,6 +12,7 @@ import itertools
 import json
 import pickle
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -159,6 +160,10 @@ class _Int(int):
     pass
 
 
+AFFINE_A1 = ((2, -2), (-2, 2))
+NOT_SYMMETRIZABLE = ((2, -1, -1), (-2, 2, -1), (-1, -1, 2))
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "matrix",
@@ -167,8 +172,8 @@ class TestValidation:
             ((2, -1), (-1, 3)),  # diagonal not 2
             ((2, 1), (1, 2)),  # positive off-diagonal
             ((2, -1), (0, 2)),  # zero symmetry broken
-            ((2, -2), (-2, 2)),  # affine, not finite type
-            ((2, -1, -1), (-2, 2, -1), (-1, -1, 2)),  # not symmetrizable
+            AFFINE_A1,  # not finite type
+            NOT_SYMMETRIZABLE,  # so not finite type
             ((2.9, -1.2), (-1, 2)),  # not integers (truncation would give A2)
             ((2, -1), (-1.0, 2)),  # integral float
             ((2, -1), (True, 2)),  # boolean
@@ -177,8 +182,12 @@ class TestValidation:
         ],
     )
     def test_bad_matrices_rejected(self, matrix):
-        with pytest.raises(ValueError):
-            RootSystemSpec(cartan=matrix)
+        if matrix in (AFFINE_A1, NOT_SYMMETRIZABLE):  # a generalized Cartan matrix: the spec takes it, the build not
+            with pytest.raises(ValueError, match="not of finite type"):
+                build_root_system(RootSystemSpec(cartan=matrix))
+        else:
+            with pytest.raises(ValueError):
+                RootSystemSpec(cartan=matrix)
 
     @pytest.mark.parametrize(
         "series,rank",
@@ -286,16 +295,15 @@ def fraction_verdict(matrix) -> str:
     return "finite"
 
 
-def integer_verdict(matrix) -> str:
-    """The production check's verdict in the reference's words."""
+def builds(matrix) -> bool:
+    """Whether ``build_root_system`` takes the generalized Cartan matrix; any refusal but finite type is an error."""
     try:
-        validate_cartan_matrix(matrix)
+        build_root_system(RootSystemSpec(cartan=matrix))
     except ValueError as exc:
-        for verdict in ("zero symmetry", "not symmetrizable", "not of finite type"):
-            if verdict in str(exc):
-                return verdict
+        if "not of finite type" in str(exc):
+            return False
         raise
-    return "finite"
+    return True
 
 
 def diagonal_two_matrices(n: int):
@@ -308,15 +316,24 @@ def diagonal_two_matrices(n: int):
         yield m
 
 
+def cycle(n: int) -> list[list[int]]:
+    """The Cartan matrix of the affine type A_(n-1): an n-cycle of simple bonds."""
+    return [[2 if i == j else -int((i - j) % n in (1, n - 1)) for j in range(n)] for i in range(n)]
+
+
 class TestFiniteTypeCrossCheck:
-    """The integer check (Bareiss minors of A) against the Fraction reference (Sylvester on DA)."""
+    """The build (its reflection closure stops within 2n^2 roots) against the Fraction reference (Sylvester on DA)."""
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_every_small_matrix_agrees(self, n):
         verdicts = {}
         for matrix in diagonal_two_matrices(n):
             expected = fraction_verdict(matrix)
-            assert integer_verdict(matrix) == expected, matrix
+            if expected == "zero symmetry":  # not a generalized Cartan matrix: the spec refuses it
+                with pytest.raises(ValueError, match="zero symmetry"):
+                    RootSystemSpec(cartan=matrix)
+            else:
+                assert builds(matrix) == (expected == "finite"), matrix
             verdicts[expected] = verdicts.get(expected, 0) + 1
         # both sets are nonempty, so agreement is not vacuous
         assert verdicts["finite"] and verdicts["not of finite type"]
@@ -326,7 +343,7 @@ class TestFiniteTypeCrossCheck:
     @pytest.mark.parametrize("series,rank", [("E", 8), ("F", 4), ("D", 10), ("B", 10)])
     def test_finite_series_accepted(self, series, rank):
         matrix = series_cartan(series, rank)
-        assert fraction_verdict(matrix) == integer_verdict(matrix) == "finite"
+        assert fraction_verdict(matrix) == "finite" and builds(matrix)
 
     @pytest.mark.parametrize(
         "matrix",
@@ -339,7 +356,14 @@ class TestFiniteTypeCrossCheck:
         ids=["affine-A1", "affine-A2", "hyperbolic-pair"],
     )
     def test_infinite_type_rejected(self, matrix):
-        assert fraction_verdict(matrix) == integer_verdict(matrix) == "not of finite type"
+        assert fraction_verdict(matrix) == "not of finite type" and not builds(matrix)
+
+    @pytest.mark.parametrize("matrix", [cycle(64), [[2 if i == j else -1 for j in range(64)] for i in range(64)]],
+                             ids=["affine-cycle", "dense"])
+    def test_rank_64_refused_within_a_second(self, matrix):
+        start = time.perf_counter()
+        assert not builds(matrix)
+        assert time.perf_counter() - start < 1.0
 
 
 def heights_follow_exponents(coroots, series, rank) -> bool:
@@ -395,6 +419,9 @@ CONNECTED_UP_TO_RANK_6 = ([("A", r) for r in range(1, 7)] + [("B", r) for r in r
                           + [("C", r) for r in range(2, 7)] + [("D", r) for r in range(3, 7)]
                           + [("E", 6), ("F", 4), ("G", 2)])
 
+#: A-D above rank 16, up to the largest rank the CLI accepts
+LARGE_RANKS = [(series, rank) for series in "ABCD" for rank in (17, 32, 64)]
+
 
 class TestCorootList:
     """Checks of the one input every route shares, by code that shares nothing with positive_roots_of.
@@ -402,9 +429,10 @@ class TestCorootList:
     Where both run, the coroots are distinct and each passes the norm
     criterion, so they are positive coroots, and the height distribution
     fixes how many there are: together the two checks fix the exact set.
+    The heights run up to rank 64 and the norm criterion up to rank 32.
     """
 
-    @pytest.mark.parametrize("series,rank", NAMED_UP_TO_RANK_16)
+    @pytest.mark.parametrize("series,rank", NAMED_UP_TO_RANK_16 + LARGE_RANKS)
     def test_heights_follow_exponents(self, series, rank):
         assert heights_follow_exponents(root_system(series, rank).positive_coroots, series, rank)
 
@@ -417,7 +445,7 @@ class TestCorootList:
         else:
             assert coroots[-1] == highest_coroot(series, rank)
 
-    @pytest.mark.parametrize("series,rank", CONNECTED_UP_TO_RANK_6)
+    @pytest.mark.parametrize("series,rank", CONNECTED_UP_TO_RANK_6 + [pair for pair in LARGE_RANKS if pair[1] < 64])
     def test_norm_criterion(self, series, rank):
         rs = root_system(series, rank)
         assert norm_criterion_failures(rs.cartan, rs.positive_coroots) == []

@@ -522,6 +522,14 @@ class TestConfigAndSpec:
         assert code == EXIT_USAGE
         assert "finite type" in err
 
+    def test_rank_64_affine_cycle_file_refused(self, capsys, tmp_path):
+        matrix = tmp_path / "cartan.json"
+        matrix.write_text(json.dumps([[2 if i == j else -int((i - j) % 64 in (1, 63)) for j in range(64)]
+                                      for i in range(64)]))
+        code, out, err = run(capsys, "--cartan", str(matrix), "--height", "1", "table")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: Cartan matrix is not of finite type (more than 2n^2 = 8192 positive roots)\n"
+
     def test_missing_system_usage_error(self, capsys):
         code, _, err = run(capsys, "--height", "1", "table")
         assert code == EXIT_USAGE
@@ -849,6 +857,10 @@ class TestStartup:
     ], ids=["package", "strata", "cli"])
     def test_import_footprint(self, statement, loaded):
         assert {name for name in modules_added_by(statement) if name.startswith("bernasym")} == {"bernasym", *loaded}
+
+    def test_dir_lists_every_public_name_before_its_module_is_imported(self):
+        statement = "import bernasym; assert set(bernasym.__all__) <= set(dir(bernasym)), dir(bernasym)"
+        assert {name for name in modules_added_by(statement) if name.startswith("bernasym")} == {"bernasym"}
 
 
 def run_process_entry(argv, patch="pass", after="pass"):
