@@ -152,18 +152,15 @@ def _partition_search(coroots: Sequence[tuple[Coweight, int]], start: int, weigh
 def trace_grothendieck_oracle(rs: RootSystem, theta: Sequence[int]) -> LaurentPoly:
     """Trace of the class sum over pairs (K1, K2) with K1 + K2 = theta.
 
-    K1 is a Kostant partition and K2 a simple one (each coroot at most once).
-    Each pair contributes the class with shift 2|K1| + |K2| and twist |K1|,
-    whose trace is (-1)^|K2| q^-|K1|; the result is again multiplied by
-    q^<rho,theta>.  The pairs are found by one search that branches only over
-    the non-simple coroots fitting in theta's box: each step picks the next
-    one used, n >= 1 times in all, and puts either all n copies in K1 or
-    n - 1 in K1 and one in K2.  The simple coroots (the first rank: the unit
-    vectors) finish every node in closed form.  The remainder r is a sum of
-    them, and each simple coroot with r_i >= 1 puts either all r_i copies in
-    K1 or r_i - 1 in K1 and one in K2; so if r has s nonzero coordinates
-    summing to R, the node adds C(s, t) pairs with |K1| larger by R - t and
-    |K2| by t, for t = 0..s.
+    K1 is a Kostant partition and K2 a simple one (each coroot at most once).  Each pair contributes the class with
+    shift 2|K1| + |K2| and twist |K1|, whose trace is (-1)^|K2| q^-|K1|; the result is again multiplied by
+    q^<rho,theta>.  The pairs are found by one search that branches only over the non-simple coroots fitting in
+    theta's box, a prune: each step subtracts one more copy of the next one used from the remainder until a
+    coordinate goes negative, and with n copies so far puts either all n in K1 or n - 1 in K1 and one in K2.  The
+    simple coroots (the first rank: the unit vectors) finish every node in closed form.  The remainder r is a sum of
+    them, and each simple coroot with r_i >= 1 puts either all r_i copies in K1 or r_i - 1 in K1 and one in K2; so
+    if r has s nonzero coordinates summing to R, the node adds C(s, t) pairs with |K1| larger by R - t and |K2| by
+    t, for t = 0..s.
     """
     theta = rs.check_positive_coweight(theta)
     # the non-simple coroots follow the rank simple ones, by height: none after the first taller than theta fits
@@ -178,12 +175,11 @@ def trace_grothendieck_oracle(rs: RootSystem, theta: Sequence[int]) -> LaurentPo
             key = (2 * (size - t) + k2 + t, size - t)
             terms[key] = terms.get(key, 0) + comb(s, t)
         for j in range(i, len(coroots)):
-            beta = coroots[j]
-            cap = min(r // b for r, b in zip(remaining, beta) if b)
-            for n in range(1, cap + 1):
-                rest = tuple(r - n * b for r, b in zip(remaining, beta))
-                descend(j + 1, rest, k1 + n, k2)
-                descend(j + 1, rest, k1 + n - 1, k2 + 1)
+            rest, n = remaining, k1  # n: |K1| with all the copies of coroots[j] so far in K1
+            while min(rest := tuple(map(sub, rest, coroots[j]))) >= 0:
+                n += 1
+                descend(j + 1, rest, n, k2)
+                descend(j + 1, rest, n - 1, k2 + 1)
 
     descend(0, theta, 0, 0)
     return LaurentPoly.q_power(height(theta)) * GrothendieckClass(terms).trace()

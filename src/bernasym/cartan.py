@@ -27,12 +27,13 @@ Coweight = tuple[int, ...]
 CartanMatrix = tuple[tuple[int, ...], ...]
 T = TypeVar("T")
 
+MAX_RANK = 64  # the largest rank of a root system, named or explicit: A64 already has 2080 coroots
 #: inclusive rank ranges for the recognized series
 SERIES_RANK_RANGES: dict[str, tuple[int, int]] = {
-    "A": (1, 64),
-    "B": (2, 64),
-    "C": (2, 64),
-    "D": (2, 64),
+    "A": (1, MAX_RANK),
+    "B": (2, MAX_RANK),
+    "C": (2, MAX_RANK),
+    "D": (2, MAX_RANK),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
@@ -74,7 +75,7 @@ def check_coweight(theta: Sequence[int], length: int | None, what: str) -> Cowei
 def validate_cartan_matrix(matrix: Sequence[Sequence[int]]) -> None:
     """Reject anything that is not a generalized Cartan matrix.
 
-    Checks, in order: a nonempty list of rows, squareness and integrality,
+    Checks, in order: a nonempty list of at most ``MAX_RANK`` rows, squareness and integrality,
     2s on the diagonal, non-positive off-diagonal entries and the zero-symmetry
     a_ij = 0 <=> a_ji = 0.  Finite type is decided where the roots are
     generated: ``positive_roots_of`` refuses the rest as "not of finite type".
@@ -82,6 +83,8 @@ def validate_cartan_matrix(matrix: Sequence[Sequence[int]]) -> None:
     if not isinstance(matrix, (list, tuple)) or not matrix:
         raise ValueError(f"Cartan matrix is {matrix!r}, expected a nonempty list of rows")
     n = len(matrix)
+    if n > MAX_RANK:
+        raise ValueError(f"Cartan matrix has rank {n}; ranks up to {MAX_RANK} are supported")
     for i, row in enumerate(matrix):
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise ValueError(f"Cartan matrix row {i} is {row!r}, expected a list of {n} entries")

@@ -3,14 +3,16 @@
 A partition of theta assigns a multiplicity n_beta >= 0 to each positive
 coroot so that sum n_beta * beta = theta.  Enumeration is one recursive
 search over the non-simple coroots in theta's box, in the canonical coroot
-order.  The simple coroots are read by position: ``RootSystem`` checks that
-its first rank coroots are the unit vectors, in lex order, and that the
-others follow by height.  They finish every node in closed form, as the
-remainder r is r_k copies of the k-th unit vector, so every node is one
-partition.  The simple partitions (each multiplicity 1) are its
-``is_simple`` filter.  It serves ``trace`` and ``divisor``; the asymptotics
-table does not enumerate per theta, but fills every theta's (|R_K|, |K|)
-histogram by one search over its height region.
+order.  A node tries those no taller than its remainder, and each step
+subtracts one more copy of a coroot and stops at a negative coordinate: the
+box and the heights only prune.  The simple coroots are read by position:
+``RootSystem`` checks that its first rank coroots are the unit vectors, in
+lex order, and that the others follow by height.  They finish every node in
+closed form, as the remainder r is r_k copies of the k-th unit vector, so
+every node is one partition.  The simple partitions (each multiplicity 1)
+are its ``is_simple`` filter.  It serves ``trace`` and ``divisor``; the
+asymptotics table does not enumerate per theta, but fills every theta's
+(|R_K|, |K|) histogram by one search over its height region.
 Counting is an independent dynamic program on the generating function
 prod_beta 1 / (1 - x^beta) truncated to a downward-closed region sorted by
 height: one integer pass per coroot gives the count at every point of the
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 import threading
 from bisect import bisect_right
-from operator import add
+from operator import add, sub
 from typing import Sequence
 
 from .cartan import Coweight, RootSystem, RootSystemSpec, Value, build_root_system, height, height_region, load_exact
@@ -68,6 +70,7 @@ def enumerate_partitions(rs: RootSystem, theta: Sequence[int]) -> list[KostantPa
             fitting.append(beta)
             indices.append(index)
     found: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = []
+    heights = [height(beta) for beta in fitting]
     used = [0] * len(fitting)
 
     def descend(i: int, remaining: Coweight) -> None:
@@ -75,12 +78,12 @@ def enumerate_partitions(rs: RootSystem, theta: Sequence[int]) -> list[KostantPa
         # simple coroots are the unit vectors in lex order, the last coordinate's first, so they take r reversed
         vector = remaining[::-1] + tuple(used)
         found.append((vector, tuple((index, n) for index, n in zip(indices, vector) if n)))
-        # pick the next non-simple coroot used (depth <= height(theta) / 2)
-        for j in range(i, len(fitting)):
-            beta = fitting[j]
-            for n in range(1, min(r // b for r, b in zip(remaining, beta) if b) + 1):
-                used[j] = n
-                descend(j + 1, tuple(r - n * b for r, b in zip(remaining, beta)))
+        # the next non-simple coroot used (depth <= height(theta) / 2), no taller than r: one more copy per step
+        for j in range(i, bisect_right(heights, height(remaining))):
+            rest = remaining
+            while min(rest := tuple(map(sub, rest, fitting[j]))) >= 0:
+                used[j] += 1
+                descend(j + 1, rest)
             used[j] = 0
 
     descend(0, theta)

@@ -179,7 +179,7 @@ class GrothendieckClass(Value):
         except AttributeError:  # 5 or [((0, 0), 1)]
             raise ValueError(f"terms {terms!r} are not a mapping of (shift, twist) tokens to multiplicities") from None
         for token, mult in items:
-            if type(token) is not tuple or len(token) != 2 or not {int}.issuperset(map(type, (*token, mult))):
+            if not (type(token) is tuple and len(token) == 2 and type(token[0]) is type(token[1]) is type(mult) is int):
                 raise ValueError(f"token {token!r} x {mult!r} is not made of integers: a (shift, twist) and a count")
         super().__init__({token: mult for token, mult in items if mult})
 

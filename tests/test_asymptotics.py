@@ -483,6 +483,15 @@ class TestOracleTriangle:
             c = trace_grothendieck_oracle(rs, theta)
             assert a == b == c, f"disagreement at {theta}"
 
+    @pytest.mark.parametrize("series,rank", [("F", 4), ("E", 6), ("B", 6), ("D", 6)])
+    def test_three_routes_agree_at_the_highest_coroot(self, series, rank):
+        # test_qanalogue.py runs each route over F4's highest coroot's box, but never compares them at one theta
+        rs = root_system(series, rank)
+        theta = rs.positive_coroots[-1]
+        series_trace = trace_from_series(gk_product_series(rs, height(theta), box=theta), rs, theta)
+        assert trace_kostant_sum(rs, theta) == series_trace == trace_grothendieck_oracle(rs, theta)
+        assert len(enumerate_partitions(rs, theta)) == count_partitions(rs, theta)
+
     def test_reducible_table_factors(self):
         # block-diagonal B2 x G2: the coroots of one factor have zero coordinates on the other, so the product
         # over the coroots splits and each trace is the product of the traces at the two halves of theta

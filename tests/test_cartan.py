@@ -205,6 +205,18 @@ class TestValidation:
             with pytest.raises(ValueError, match="expected a nonempty list of rows"):
                 RootSystemSpec(cartan=value)
 
+    def test_explicit_matrix_rank_bound_is_the_series_bound(self):
+        # an explicit A64 matrix builds as the named A64 does; at rank 65 the spec and the JSON loader refuse it
+        # before the reflection closure runs, and the series refuses A65
+        assert len(build_root_system(RootSystemSpec(cartan=series_cartan("A", 64))).positive_coroots) == 2080
+        a65 = [[2 if i == j else -int(abs(i - j) == 1) for j in range(65)] for i in range(65)]
+        with pytest.raises(ValueError, match="rank 65; ranks up to 64 are supported"):
+            RootSystemSpec(cartan=a65)
+        with pytest.raises(ValueError, match="rank 65; ranks up to 64 are supported"):
+            root_system_from_json({"name": "custom", "cartan": a65})
+        with pytest.raises(ValueError, match=r"rank 1\.\.64, got 65"):
+            series_cartan("A", 65)
+
     def test_both_sources_rejected(self):
         with pytest.raises(ValueError):
             RootSystemSpec(series="A", rank=2, cartan=((2,),))

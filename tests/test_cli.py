@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -529,6 +530,16 @@ class TestConfigAndSpec:
         code, out, err = run(capsys, "--cartan", str(matrix), "--height", "1", "table")
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: Cartan matrix is not of finite type (more than 2n^2 = 8192 positive roots)\n"
+
+    def test_rank_65_file_refused_before_the_closure(self, capsys, tmp_path):
+        # refused as the spec is made, before the reflection closure runs
+        matrix = tmp_path / "cartan.json"
+        matrix.write_text(json.dumps([[2 if i == j else -int(abs(i - j) == 1) for j in range(65)] for i in range(65)]))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--cartan", str(matrix), "--height", "0", "--no-verify", "table")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: Cartan matrix has rank 65; ranks up to 64 are supported\n"
 
     def test_missing_system_usage_error(self, capsys):
         code, _, err = run(capsys, "--height", "1", "table")

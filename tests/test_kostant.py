@@ -219,6 +219,12 @@ class TestCounting:
             for theta in coweights_up_to_height(rank, 6):
                 assert count_partitions(rs, theta) == len(enumerate_partitions(rs, theta))
 
+    def test_e7_highest_coroot(self):
+        # the deepest theta enumerated here: 63 coroots and height 17; the DP shares no code with the search
+        rs = root_system("E", 7)
+        theta = rs.positive_coroots[-1]
+        assert len(enumerate_partitions(rs, theta)) == count_partitions(rs, theta) == 18837
+
     @pytest.mark.parametrize("series,rank,bound", [("A", 3, 9), ("B", 3, 5), ("D", 4, 6), ("G", 2, 16)])
     def test_region_counts_equal_enumeration(self, series, rank, bound):
         # one DP over the table's height region against the per-theta enumerator, at every theta
